@@ -95,8 +95,7 @@ MeasurementDatabase::MeasurementDatabase(const Suite &S, Machine Ref,
   FGBS_GAUGE_SET("db.threads", Threads);
   ThreadPool Pool(Threads);
 
-  // Work-item index space, kind-major (decodeMeasurementItem owns it;
-  // the simulation farm distributes the same indices):
+  // Work-item index space, kind-major (decodeMeasurementItem owns it):
   //   [0, N)        profile codelet I on the reference (step B),
   //   [N, 2N)       standalone codelet I on the reference,
   //   [2N + 2*t*N + 0..N)   in-app ground truth of codelet I on target t,

@@ -30,8 +30,7 @@ class CompileCache;
 
 /// One (codelet, machine, kind) work item of the simulator sweep,
 /// decoded from the flat item index space the MeasurementDatabase ctor
-/// fans out over — and the unit of distribution for the simulation
-/// farm: a remote worker executes exactly one of these per claim.
+/// fans out over the thread pool.
 enum class MeasurementItemKind : std::uint32_t {
   ProfileRef = 0,       ///< Step-B profile on the reference machine.
   StandaloneRef = 1,    ///< Standalone microbenchmark on the reference.
@@ -65,10 +64,10 @@ struct MeasurementItemResult {
   StandaloneMeasurement Standalone; ///< StandaloneRef/StandaloneTarget.
 };
 
-/// Executes one work item — the same calls, in the same form, the
-/// MeasurementDatabase ctor makes, so a farm worker's result is
-/// bit-identical to a local sweep's.  \p Item.Codelet indexes
-/// \p S.allCodelets(); \p Compile may be null.
+/// Executes one work item — the call the MeasurementDatabase ctor makes
+/// per item, so running items one at a time (as a benchmark does)
+/// gives bit-identical results to a full sweep.  \p Item.Codelet
+/// indexes \p S.allCodelets(); \p Compile may be null.
 MeasurementItemResult executeMeasurementItem(const Codelet &C,
                                              const Machine &Reference,
                                              const std::vector<Machine> &Targets,

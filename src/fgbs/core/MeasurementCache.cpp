@@ -33,15 +33,12 @@
 
 #include "fgbs/core/MeasurementCache.h"
 
-#include "fgbs/compiler/CompileCache.h"
-#include "fgbs/core/FarmSpec.h"
 #include "fgbs/core/RemoteCacheBackend.h"
 #include "fgbs/core/TieredCacheBackend.h"
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Crc32.h"
 #include "fgbs/support/Rng.h"
-#include "fgbs/support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
@@ -53,13 +50,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace fgbs;
 using namespace fgbs::binio;
-using namespace fgbs::measwire;
 
 //===----------------------------------------------------------------------===//
 // Content key derivation
@@ -219,7 +213,14 @@ const char *fgbs::measurementCacheErrorName(MeasurementCacheError E) {
 // Serialization
 //===----------------------------------------------------------------------===//
 
-void fgbs::measwire::putMeasurement(std::string &Out, const Measurement &M) {
+namespace {
+
+// Single-measurement encoders/decoders (the `m` and `sa` records of the
+// payload layout above).  The readers return false on a non-finite or
+// non-positive value; truncation is reported through the reader's
+// overrun flag.
+
+void putMeasurement(std::string &Out, const Measurement &M) {
   putF64(Out, M.TrueSeconds);
   putF64(Out, M.MeasuredSeconds);
   putF64(Out, M.MemCyclesPerIter);
@@ -236,15 +237,14 @@ void fgbs::measwire::putMeasurement(std::string &Out, const Measurement &M) {
     putF64(Out, V);
 }
 
-void fgbs::measwire::putStandalone(std::string &Out,
-                                   const StandaloneMeasurement &S) {
+void putStandalone(std::string &Out, const StandaloneMeasurement &S) {
   putF64(Out, S.MedianSeconds);
   putF64(Out, S.TrueSeconds);
   putU64(Out, S.Invocations);
   putF64(Out, S.TotalBenchmarkSeconds);
 }
 
-bool fgbs::measwire::readMeasurement(ByteReader &In, Measurement &M) {
+bool readMeasurement(ByteReader &In, Measurement &M) {
   M.TrueSeconds = In.f64();
   M.MeasuredSeconds = In.f64();
   M.MemCyclesPerIter = In.f64();
@@ -270,8 +270,7 @@ bool fgbs::measwire::readMeasurement(ByteReader &In, Measurement &M) {
   return M.TrueSeconds > 0.0 && M.MeasuredSeconds > 0.0;
 }
 
-bool fgbs::measwire::readStandalone(ByteReader &In,
-                                    StandaloneMeasurement &S) {
+bool readStandalone(ByteReader &In, StandaloneMeasurement &S) {
   S.MedianSeconds = In.f64();
   S.TrueSeconds = In.f64();
   S.Invocations = In.u64();
@@ -283,8 +282,6 @@ bool fgbs::measwire::readStandalone(ByteReader &In,
     return false;
   return S.MedianSeconds > 0.0 && S.TrueSeconds > 0.0 && S.Invocations >= 1;
 }
-
-namespace {
 
 MeasurementLoadResult failed(MeasurementCacheError E, std::string Message) {
   MeasurementLoadResult R;
@@ -785,160 +782,6 @@ CachePruneStats MeasurementCache::prune(std::uint64_t MaxBytes,
 }
 
 //===----------------------------------------------------------------------===//
-// The distributed build (simulation farm enqueuer/assembler)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Builds the database by farming items out through the remote
-/// coordinator: publish the job blob, enqueue every missing item,
-/// assemble worker-published parts, and locally simulate whatever the
-/// farm has not delivered by the deadline.  The caller holds the
-/// whole-database writer lease, so exactly one trainer fleet-wide runs
-/// this per key.
-std::unique_ptr<MeasurementDatabase>
-distributedBuild(RemoteCacheBackend &Remote, const Suite &S,
-                 const Machine &Reference, const std::vector<Machine> &Targets,
-                 const TimingPolicy &Policy, std::uint64_t Key,
-                 const DatabaseBuildOptions &Options) {
-  const std::vector<const Codelet *> Codelets = S.allCodelets();
-  const std::size_t N = Codelets.size();
-  const std::size_t T = Targets.size();
-  const std::size_t Total = measurementItemCount(N, T);
-
-  std::uint64_t WaitMs = Options.DistributeWaitMs
-                             ? Options.DistributeWaitMs
-                             : envU64("FGBS_FARM_WAIT_MS");
-  if (WaitMs == 0)
-    WaitMs = 600000;
-  const std::uint64_t PollMs =
-      Options.DistributePollMs ? Options.DistributePollMs : 200;
-
-  // The job blob is idempotent — same key, same bytes — so publishing
-  // only when absent keeps trainer restarts cheap.
-  const std::string JobName = farmJobEntryName(Key);
-  if (!Remote.exists(JobName))
-    Remote.put(JobName, serializeFarmJob(S, Reference, Targets, Policy, Key));
-
-  std::vector<std::optional<MeasurementItemResult>> Results(Total);
-  std::size_t Fetched = 0;
-
-  const auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(WaitMs);
-  const std::uint64_t PollSeed = makeOwnerToken();
-  unsigned Round = 0;
-  while (Fetched < Total) {
-    // What has the farm published so far?  One prefix scan per round,
-    // then fetch-and-validate only the new parts.
-    std::vector<bool> Published(Total, false);
-    for (const CacheEntry &E :
-         Remote.scan(farmPartEntryPrefix(Key), ".v1")) {
-      std::size_t Item = 0;
-      if (parseFarmPartEntryName(E.Name, Key, Item) && Item < Total)
-        Published[Item] = true;
-    }
-    for (std::size_t Item = 0; Item < Total; ++Item) {
-      if (Results[Item] || !Published[Item])
-        continue;
-      const std::string PartName = farmPartEntryName(Key, Item);
-      std::string Bytes;
-      MeasurementItemResult R;
-      if (Remote.get(PartName, Bytes) &&
-          parseFarmPart(Bytes, Key, Item, R) == FarmSpecError::None) {
-        Results[Item] = std::move(R);
-        ++Fetched;
-        FGBS_COUNTER_ADD("farm.parts_assembled", 1);
-      } else if (!Bytes.empty()) {
-        // A damaged part would make every worker's exists() fast path
-        // skip it forever: delete it so the re-enqueue below gets it
-        // simulated again.
-        Remote.remove(PartName);
-        Published[Item] = false;
-      }
-    }
-    if (Fetched == Total)
-      break;
-
-    // (Re-)enqueue everything still unpublished.  The queue dedups
-    // live items (Duplicate) and the server refuses items whose part
-    // already exists (AlreadyPublished), so repeating this every round
-    // is cheap — and it is exactly what heals a coordinator restart
-    // that lost the in-memory queue.
-    for (std::size_t Item = 0; Item < Total; ++Item) {
-      if (Results[Item] || Published[Item])
-        continue;
-      FarmWorkSpec Spec;
-      Spec.JobEntry = JobName;
-      Spec.Key = Key;
-      Spec.Item = Item;
-      Remote.enqueueWork(farmPartEntryName(Key, Item),
-                         encodeFarmWorkSpec(Spec));
-    }
-
-    if (std::chrono::steady_clock::now() >= Deadline)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        retryBackoffMs(Round < 2 ? Round : 2, PollMs, PollMs * 4, PollSeed)));
-    ++Round;
-  }
-
-  // Deadline fallback: simulate leftovers locally so a farm with no
-  // live workers still completes (slowly), never hangs.
-  const std::size_t Leftover = Total - Fetched;
-  if (Leftover > 0) {
-    std::vector<std::size_t> Missing;
-    for (std::size_t Item = 0; Item < Total; ++Item)
-      if (!Results[Item])
-        Missing.push_back(Item);
-    CompileCache Compile;
-    unsigned Threads = Options.Threads > 0 ? Options.Threads
-                                           : ThreadPool::defaultThreadCount();
-    ThreadPool Pool(Threads);
-    Pool.parallelFor(0, Missing.size(), [&](std::size_t I) {
-      const std::size_t Item = Missing[I];
-      const MeasurementItem M = decodeMeasurementItem(Item, N, T);
-      Results[Item] = executeMeasurementItem(*Codelets[M.Codelet], Reference,
-                                             Targets, Policy, M, &Compile);
-    });
-  }
-  std::cerr << "fgbs: farm: " << Total << " items, " << Fetched
-            << " from workers, " << Leftover << " simulated locally\n";
-
-  // Assemble the kind-major item grid back into the database shape and
-  // rebind profile pointers onto the live suite (exactly as
-  // parseMeasurements does for whole-database loads).
-  std::vector<CodeletProfile> Profiles(N);
-  std::vector<StandaloneMeasurement> StandaloneRef(N);
-  std::vector<std::vector<Measurement>> Real(T, std::vector<Measurement>(N));
-  std::vector<std::vector<StandaloneMeasurement>> StandaloneTgt(
-      T, std::vector<StandaloneMeasurement>(N));
-  for (std::size_t Item = 0; Item < Total; ++Item) {
-    const MeasurementItem M = decodeMeasurementItem(Item, N, T);
-    MeasurementItemResult &R = *Results[Item];
-    switch (M.Kind) {
-    case MeasurementItemKind::ProfileRef:
-      Profiles[M.Codelet] = std::move(R.Profile);
-      Profiles[M.Codelet].C = Codelets[M.Codelet];
-      break;
-    case MeasurementItemKind::StandaloneRef:
-      StandaloneRef[M.Codelet] = R.Standalone;
-      break;
-    case MeasurementItemKind::InAppTarget:
-      Real[M.Target][M.Codelet] = R.InApp;
-      break;
-    case MeasurementItemKind::StandaloneTarget:
-      StandaloneTgt[M.Target][M.Codelet] = R.Standalone;
-      break;
-    }
-  }
-  return std::make_unique<MeasurementDatabase>(
-      S, Reference, Targets, std::move(Profiles), std::move(Real),
-      std::move(StandaloneRef), std::move(StandaloneTgt));
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
 // The cached build front-end
 //===----------------------------------------------------------------------===//
 
@@ -974,12 +817,6 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
         return Simulate();
     }
   }
-
-  // The distribute path talks to the coordinator directly (enqueue,
-  // prefix scans, part fetches) while the tiered cache owns the same
-  // backend for whole-database entries — keep a raw handle across the
-  // move below.
-  RemoteCacheBackend *RemoteRaw = Remote.get();
 
   // Local-only, remote-only, or tiered — one MeasurementCache either
   // way; the backend seam hides which.
@@ -1055,13 +892,7 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
     }
   }
 
-  // With --distribute and a live remote tier the simulation fans out to
-  // the worker fleet; otherwise (or for the trainer that lost the
-  // writer election above) the sweep runs in-process as always.
-  auto Db = Options.Distribute && RemoteRaw
-                ? distributedBuild(*RemoteRaw, S, Reference, Targets,
-                                   Options.Policy, Key, Options)
-                : Simulate();
+  auto Db = Simulate();
   if (LockHeld) {
     Lock->heartbeat();
     std::string Message;

@@ -43,7 +43,6 @@
 
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/core/Database.h"
-#include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/FileLock.h"
 
 #include <cstdint>
@@ -101,18 +100,6 @@ struct MeasurementLoadResult {
 
   explicit operator bool() const { return Db != nullptr; }
 };
-
-/// Single-measurement encoders/decoders shared by the whole-database
-/// format above and the simulation farm's fgbs.part.v1 item results
-/// (core/FarmSpec) — one field order, defined once.  The readers return
-/// false on a non-finite or non-positive value; truncation is reported
-/// through the reader's overrun flag.
-namespace measwire {
-void putMeasurement(std::string &Out, const Measurement &M);
-void putStandalone(std::string &Out, const StandaloneMeasurement &S);
-bool readMeasurement(binio::ByteReader &In, Measurement &M);
-bool readStandalone(binio::ByteReader &In, StandaloneMeasurement &S);
-} // namespace measwire
 
 /// Serializes \p Db into the byte format described above, stamped with
 /// \p Key (the caller computes it via measurementKey over the same
@@ -254,20 +241,6 @@ struct DatabaseBuildOptions {
   /// Timing policy forwarded to the standalone measurements (part of
   /// the content key).
   TimingPolicy Policy;
-  /// Distributed simulation farm (--distribute): on a cache miss,
-  /// instead of simulating locally, publish the job blob on the remote
-  /// coordinator, enqueue one work item per missing (codelet, machine,
-  /// kind) measurement, and assemble the parts fgbs_worker processes
-  /// publish.  Requires a remote tier; silently falls back to local
-  /// simulation without one.  Items still missing when DistributeWaitMs
-  /// runs out are simulated locally, so a worker-less farm degrades to
-  /// a slow build, never a hang.
-  bool Distribute = false;
-  /// Farm assembly deadline (0 = auto: the FGBS_FARM_WAIT_MS
-  /// environment variable, else 10 minutes).
-  std::uint64_t DistributeWaitMs = 0;
-  /// Farm assembly poll interval (0 = auto: 200 ms), jittered.
-  std::uint64_t DistributePollMs = 0;
 };
 
 /// Builds the measurement database for (\p S, \p Reference, \p Targets),

@@ -145,8 +145,6 @@ std::uint64_t fgbs::retryBackoffMs(unsigned Attempt, std::uint64_t InitialMs,
   return Low + Z % (Base - Low + 1);
 }
 
-std::uint64_t fgbs::makeOwnerToken() { return makeLeaseToken(); }
-
 bool fgbs::parseRemoteCacheAddress(const std::string &Spec,
                                    RemoteCacheConfig &Out) {
   return parseHostPort(Spec, Out.Host, Out.Port);
@@ -414,104 +412,6 @@ bool RemoteCacheBackend::lockRelease(const std::string &Name,
          Response.Op == Opcode::Ok;
 }
 
-bool RemoteCacheBackend::enqueueWork(const std::string &Name,
-                                     std::string_view Spec,
-                                     EnqueueStatus *StatusOut) {
-  std::string Payload;
-  putStr(Payload, Name);
-  putStr(Payload, std::string(Spec));
-  Frame Response;
-  if (!request(Opcode::EnqueueWork, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  std::uint8_t Raw = In.u8();
-  if (In.overrun() || Raw > 2)
-    return false;
-  if (StatusOut)
-    *StatusOut = static_cast<EnqueueStatus>(Raw);
-  return true;
-}
-
-bool RemoteCacheBackend::claimWork(std::uint64_t Token, std::uint64_t TtlMs,
-                                   std::uint32_t MaxItems,
-                                   std::vector<net::ClaimedWork> &Out) {
-  Out.clear();
-  std::string Payload;
-  putU64(Payload, Token);
-  putU64(Payload, TtlMs);
-  putU32(Payload, MaxItems);
-  Frame Response;
-  if (!request(Opcode::ClaimWork, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  std::uint32_t Count = In.u32();
-  Out.reserve(std::min<std::uint32_t>(Count, 256));
-  for (std::uint32_t I = 0; I < Count && !In.overrun(); ++I) {
-    net::ClaimedWork W;
-    W.Name = In.str();
-    W.Spec = In.str();
-    Out.push_back(std::move(W));
-  }
-  if (In.overrun() || Out.size() != Count) {
-    Out.clear();
-    return false;
-  }
-  return true;
-}
-
-bool RemoteCacheBackend::heartbeatWork(std::uint64_t Token,
-                                       std::uint64_t TtlMs,
-                                       const std::vector<std::string> &Names,
-                                       std::uint32_t *RenewedOut) {
-  std::string Payload;
-  putU64(Payload, Token);
-  putU64(Payload, TtlMs);
-  putU32(Payload, static_cast<std::uint32_t>(Names.size()));
-  for (const std::string &Name : Names)
-    putStr(Payload, Name);
-  Frame Response;
-  if (!request(Opcode::Heartbeat, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  std::uint32_t Renewed = In.u32();
-  if (In.overrun())
-    return false;
-  if (RenewedOut)
-    *RenewedOut = Renewed;
-  return true;
-}
-
-bool RemoteCacheBackend::completeWork(const std::string &Name,
-                                      std::uint64_t Token) {
-  std::string Payload;
-  putStr(Payload, Name);
-  putU64(Payload, Token);
-  Frame Response;
-  if (!request(Opcode::CompleteWork, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  bool Removed = In.u8() != 0;
-  return !In.overrun() && Removed;
-}
-
-bool RemoteCacheBackend::abandonWork(const std::string &Name,
-                                     std::uint64_t Token) {
-  std::string Payload;
-  putStr(Payload, Name);
-  putU64(Payload, Token);
-  Frame Response;
-  if (!request(Opcode::AbandonWork, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  bool Requeued = In.u8() != 0;
-  return !In.overrun() && Requeued;
-}
-
 bool RemoteCacheBackend::statsRemote(RemoteCacheStats &Out) {
   Frame Response;
   if (!request(Opcode::Stats, {}, Response) || Response.Op != Opcode::Ok)
@@ -530,14 +430,9 @@ bool RemoteCacheBackend::statsRemote(RemoteCacheStats &Out) {
   S.Misses = In.u64();
   S.LeasesGranted = In.u64();
   S.LeasesDenied = In.u64();
-  S.QueuePending = In.u64();
-  S.QueueClaimed = In.u64();
-  S.FarmEnqueued = In.u64();
-  S.FarmClaimed = In.u64();
-  S.FarmCompleted = In.u64();
-  S.FarmRequeued = In.u64();
-  S.FarmHeartbeats = In.u64();
-  S.FarmDropped = In.u64();
+  // Eight retired work-queue counters, written as zeros (see Framing.h).
+  for (int I = 0; I < kStatsRetiredSlots; ++I)
+    In.u64();
   if (In.overrun() || S.Shards.size() != Shards)
     return false;
   // Namespace extension: present iff bytes remain (a pre-namespace
@@ -596,17 +491,6 @@ std::string fgbs::renderStatsJson(const RemoteCacheStats &S) {
   Leases.set("granted", JsonValue(static_cast<double>(S.LeasesGranted)));
   Leases.set("denied", JsonValue(static_cast<double>(S.LeasesDenied)));
   Doc.set("leases", std::move(Leases));
-
-  JsonValue Farm = JsonValue::object();
-  Farm.set("pending", JsonValue(static_cast<double>(S.QueuePending)));
-  Farm.set("claimed", JsonValue(static_cast<double>(S.QueueClaimed)));
-  Farm.set("enqueued", JsonValue(static_cast<double>(S.FarmEnqueued)));
-  Farm.set("claims", JsonValue(static_cast<double>(S.FarmClaimed)));
-  Farm.set("completed", JsonValue(static_cast<double>(S.FarmCompleted)));
-  Farm.set("requeued", JsonValue(static_cast<double>(S.FarmRequeued)));
-  Farm.set("heartbeats", JsonValue(static_cast<double>(S.FarmHeartbeats)));
-  Farm.set("dropped", JsonValue(static_cast<double>(S.FarmDropped)));
-  Doc.set("farm", std::move(Farm));
 
   // "model": null from a pre-namespace server — dashboards can tell
   // "server cannot say" from "zero models".

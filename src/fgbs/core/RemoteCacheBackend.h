@@ -40,7 +40,6 @@
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/net/Framing.h"
 #include "fgbs/net/Socket.h"
-#include "fgbs/net/WorkQueue.h"
 
 #include <cstdint>
 #include <mutex>
@@ -52,16 +51,12 @@ namespace fgbs {
 /// Deterministic "equal jitter" retry schedule: attempt \p Attempt's
 /// delay is drawn from [ceil(base/2), base] with
 /// base = min(InitialMs << Attempt, MaxMs), the draw keyed on
-/// (\p Seed, \p Attempt).  The jitter half-window keeps N workers that
+/// (\p Seed, \p Attempt).  The jitter half-window keeps N clients that
 /// lost the same server from reconnecting in lockstep (their seeds
 /// differ), while the deterministic draw keeps any one client's
 /// schedule reproducible in tests.  Never returns 0.
 std::uint64_t retryBackoffMs(unsigned Attempt, std::uint64_t InitialMs,
                              std::uint64_t MaxMs, std::uint64_t Seed);
-
-/// A fleet-unique claim/lease owner token (pid in the high bits,
-/// randomness below; never zero — zero is the wire "no owner").
-std::uint64_t makeOwnerToken();
 
 /// One shard's footprint in a Stats response.
 struct RemoteShardStats {
@@ -69,22 +64,14 @@ struct RemoteShardStats {
   std::uint64_t Bytes = 0;
 };
 
-/// Decoded Stats opcode response: storage footprint, request counters,
-/// and the simulation-farm queue counters.
+/// Decoded Stats opcode response: storage footprint and request
+/// counters.
 struct RemoteCacheStats {
   std::vector<RemoteShardStats> Shards;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
   std::uint64_t LeasesGranted = 0;
   std::uint64_t LeasesDenied = 0;
-  std::uint64_t QueuePending = 0;
-  std::uint64_t QueueClaimed = 0;
-  std::uint64_t FarmEnqueued = 0;
-  std::uint64_t FarmClaimed = 0;
-  std::uint64_t FarmCompleted = 0;
-  std::uint64_t FarmRequeued = 0;
-  std::uint64_t FarmHeartbeats = 0;
-  std::uint64_t FarmDropped = 0;
   /// Namespace extension (servers that speak the model/ namespace
   /// append it; HasModelStats distinguishes "old server" from "all
   /// zeros").
@@ -176,19 +163,8 @@ public:
                    bool &GrantedOut);
   bool lockRelease(const std::string &Name, std::uint64_t Token);
 
-  /// Simulation-farm client calls (EnqueueWork/ClaimWork/Heartbeat/
-  /// CompleteWork/AbandonWork/Stats).  Each returns false on any
-  /// network failure — callers treat that like an empty queue and
-  /// retry on their own schedule.
-  bool enqueueWork(const std::string &Name, std::string_view Spec,
-                   net::EnqueueStatus *StatusOut = nullptr);
-  bool claimWork(std::uint64_t Token, std::uint64_t TtlMs,
-                 std::uint32_t MaxItems, std::vector<net::ClaimedWork> &Out);
-  bool heartbeatWork(std::uint64_t Token, std::uint64_t TtlMs,
-                     const std::vector<std::string> &Names,
-                     std::uint32_t *RenewedOut = nullptr);
-  bool completeWork(const std::string &Name, std::uint64_t Token);
-  bool abandonWork(const std::string &Name, std::uint64_t Token);
+  /// One Stats round trip; false on any network failure or a
+  /// malformed reply.
   bool statsRemote(RemoteCacheStats &Out);
 
 private:

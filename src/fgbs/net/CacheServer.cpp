@@ -616,89 +616,6 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     return respond(Conn, Opcode::Ok, Out);
   }
 
-  case Opcode::EnqueueWork: {
-    std::string Name = In.str();
-    std::string Spec = In.str();
-    if (In.overrun() || !isValidEntryName(Name))
-      return respondError(Conn, "enqueue_work: bad item");
-    EnqueueStatus Status;
-    // Work whose result was already published must never queue again:
-    // the storage check lives here, next to the shards, so the queue
-    // itself stays a pure data structure.
-    if (backendFor(/*Model=*/false, Name).exists(Name)) {
-      Status = EnqueueStatus::AlreadyPublished;
-    } else {
-      Status = Farm.enqueue(Name, Spec);
-      if (Status == EnqueueStatus::Queued)
-        FGBS_COUNTER_ADD("farm.enqueued", 1);
-    }
-    std::string Out;
-    Out.push_back(static_cast<char>(Status));
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::ClaimWork: {
-    std::uint64_t Token = In.u64();
-    std::uint64_t TtlMs = In.u64();
-    std::uint32_t MaxItems = In.u32();
-    if (In.overrun() || Token == 0 || TtlMs == 0)
-      return respondError(Conn, "claim_work: bad claim request");
-    std::vector<ClaimedWork> Granted =
-        Farm.claim(Token, TtlMs, std::min<std::uint32_t>(MaxItems, 256),
-                   steadyMs());
-    FGBS_COUNTER_ADD("farm.claimed", Granted.size());
-    std::string Out;
-    putU32(Out, static_cast<std::uint32_t>(Granted.size()));
-    for (const ClaimedWork &W : Granted) {
-      putStr(Out, W.Name);
-      putStr(Out, W.Spec);
-    }
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::Heartbeat: {
-    std::uint64_t Token = In.u64();
-    std::uint64_t TtlMs = In.u64();
-    std::uint32_t Count = In.u32();
-    std::vector<std::string> Names;
-    for (std::uint32_t I = 0; I < Count && !In.overrun(); ++I)
-      Names.push_back(In.str());
-    if (In.overrun() || Token == 0 || TtlMs == 0 ||
-        Names.size() != Count)
-      return respondError(Conn, "heartbeat: bad renewal request");
-    std::uint32_t Renewed = Farm.heartbeat(Token, Names, TtlMs, steadyMs());
-    FGBS_COUNTER_ADD("farm.heartbeats", Renewed);
-    std::string Out;
-    putU32(Out, Renewed);
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::CompleteWork: {
-    std::string Name = In.str();
-    std::uint64_t Token = In.u64();
-    if (In.overrun() || !isValidEntryName(Name) || Token == 0)
-      return respondError(Conn, "complete_work: bad completion");
-    bool Removed = Farm.complete(Name, Token);
-    if (Removed)
-      FGBS_COUNTER_ADD("farm.completed", 1);
-    std::string Out;
-    Out.push_back(Removed ? 1 : 0);
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::AbandonWork: {
-    std::string Name = In.str();
-    std::uint64_t Token = In.u64();
-    if (In.overrun() || !isValidEntryName(Name) || Token == 0)
-      return respondError(Conn, "abandon_work: bad abandon");
-    bool Requeued = Farm.abandon(Name, Token, steadyMs());
-    if (Requeued)
-      FGBS_COUNTER_ADD("farm.requeued", 1);
-    std::string Out;
-    Out.push_back(Requeued ? 1 : 0);
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
   case Opcode::Stats: {
     if (!Request.Payload.empty())
       return respondError(Conn, "stats: unexpected payload");
@@ -717,15 +634,9 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     putU64(Out, StatMisses.load(std::memory_order_relaxed));
     putU64(Out, StatLeasesGranted.load(std::memory_order_relaxed));
     putU64(Out, StatLeasesDenied.load(std::memory_order_relaxed));
-    WorkQueueStats Q = Farm.stats(steadyMs());
-    putU64(Out, Q.Pending);
-    putU64(Out, Q.Claimed);
-    putU64(Out, Q.Enqueued);
-    putU64(Out, Q.ClaimsOut);
-    putU64(Out, Q.Completed);
-    putU64(Out, Q.Requeued);
-    putU64(Out, Q.Heartbeats);
-    putU64(Out, Q.Dropped);
+    // The retired work-queue counters: zeros keep the v1 layout.
+    for (int I = 0; I < kStatsRetiredSlots; ++I)
+      putU64(Out, 0);
     // Namespace extension: appended after the pre-namespace layout so
     // old clients (which stop reading here) still parse the response.
     putU32(Out, shards());

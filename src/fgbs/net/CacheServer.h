@@ -44,20 +44,10 @@
 /// cheap, short-lived, and never pinned by leases, so a small pool
 /// serves a large fleet; the kernel backlog absorbs bursts.
 ///
-/// Work distribution: the server doubles as the simulation-farm
-/// coordinator.  EnqueueWork/ClaimWork/Heartbeat/CompleteWork/
-/// AbandonWork drive an in-memory net/WorkQueue whose claims are
-/// token+TTL leases with the same crash-release story as writer leases;
-/// an enqueue of work whose result entry already exists in a shard is
-/// answered AlreadyPublished and never queued, so re-enqueuing every
-/// still-missing item each poll round is both idempotent and the
-/// recovery protocol for a restarted (empty-queue) coordinator.
-///
 /// Telemetry: cachesrv.{requests,bytes_in,bytes_out,errors,connections}
-/// plus cachesrv.get.{hits,misses}, cachesrv.lock.{granted,denied}, and
-/// farm.{enqueued,claimed,completed,requeued,heartbeats}.  The Stats
-/// opcode reports from server-local atomics (always on, independent of
-/// FGBS_TELEMETRY) plus live shard scans and queue depths.
+/// plus cachesrv.get.{hits,misses} and cachesrv.lock.{granted,denied}.
+/// The Stats opcode reports from server-local atomics (always on,
+/// independent of FGBS_TELEMETRY) plus live shard scans.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +57,6 @@
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/net/Framing.h"
 #include "fgbs/net/Socket.h"
-#include "fgbs/net/WorkQueue.h"
 #include "fgbs/support/ThreadPool.h"
 
 #include <atomic>
@@ -206,10 +195,6 @@ private:
   bool leaseAcquire(const std::string &Name, std::uint64_t Token,
                     std::uint64_t TtlMs);
   bool leaseRelease(const std::string &Name, std::uint64_t Token);
-
-  /// The simulation-farm coordinator queue (in-memory; see WorkQueue.h
-  /// for why a restart is recoverable without persistence).
-  WorkQueue Farm;
 
   /// Always-on request counters served by the Stats opcode (the obs
   /// counters mirror these but vanish when FGBS_TELEMETRY is off).

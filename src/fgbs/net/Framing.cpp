@@ -35,16 +35,6 @@ const char *fgbs::net::opcodeName(Opcode Op) {
     return "lock_acquire";
   case Opcode::LockRelease:
     return "lock_release";
-  case Opcode::EnqueueWork:
-    return "enqueue_work";
-  case Opcode::ClaimWork:
-    return "claim_work";
-  case Opcode::Heartbeat:
-    return "heartbeat";
-  case Opcode::CompleteWork:
-    return "complete_work";
-  case Opcode::AbandonWork:
-    return "abandon_work";
   case Opcode::Stats:
     return "stats";
   case Opcode::ScanPrefix:

@@ -45,36 +45,23 @@
 ///                  `model/...` walks the model shards, `meas/...` (and
 ///                  any flat prefix) walks the measurement shards, the
 ///                  empty prefix walks both.
+///   Stats       (empty)
+///               -> Ok u32 shards, shards x { u64 entries, u64 bytes },
+///                  u64 hits, u64 misses, u64 leases-granted,
+///                  u64 leases-denied, 8 x u64 retired (always 0)
+///                  [, u32 model-shards, model-shards x { u64 entries,
+///                  u64 bytes }, u64 model-gets, u64 model-puts,
+///                  u64 model-ref-puts, u64 scan-prefixes]
+///                  (appended by namespace-aware servers; clients
+///                  parse it only when bytes remain, so either side
+///                  may predate the other)
 ///
-/// Work-distribution requests (the simulation-farm queue; claims are
-/// token+TTL leases with the same crash-release semantics as writer
-/// leases — an expired claim requeues on the next ClaimWork):
-///   EnqueueWork  str name, str spec
-///                -> Ok u8 status (0 queued, 1 already queued/claimed,
-///                   2 result entry already published)
-///   ClaimWork    u64 worker token, u64 ttl-ms, u32 max-items
-///                -> Ok u32 count, count x { str name, str spec }
-///   Heartbeat    u64 worker token, u64 ttl-ms, u32 count,
-///                count x str name
-///                -> Ok u32 renewed
-///   CompleteWork str name, u64 worker token
-///                -> Ok u8 (1 removed from queue, 0 not owner/absent)
-///   AbandonWork  str name, u64 worker token
-///                -> Ok u8 (1 requeued, 0 not owner/absent/dropped)
-///   Stats        (empty)
-///                -> Ok u32 shards, shards x { u64 entries, u64 bytes },
-///                   u64 hits, u64 misses, u64 leases-granted,
-///                   u64 leases-denied, u64 queue-pending,
-///                   u64 queue-claimed, u64 farm-enqueued,
-///                   u64 farm-claimed, u64 farm-completed,
-///                   u64 farm-requeued, u64 farm-heartbeats,
-///                   u64 farm-dropped
-///                   [, u32 model-shards, model-shards x { u64 entries,
-///                   u64 bytes }, u64 model-gets, u64 model-puts,
-///                   u64 model-ref-puts, u64 scan-prefixes]
-///                   (appended by namespace-aware servers; clients
-///                   parse it only when bytes remain, so either side
-///                   may predate the other)
+/// Opcodes 9-13 (EnqueueWork, ClaimWork, Heartbeat, CompleteWork,
+/// AbandonWork) belonged to a work queue that has been removed.  They
+/// are retired, never reused: a server answers them with an
+/// "unsupported opcode" Error, and the eight retired Stats slots that
+/// carried the queue's counters stay in the layout as zeros, so a
+/// client that still parses them keeps working.
 ///
 /// Response opcodes: Ok (payload per request), NotFound (Get of an
 /// absent name), Error (str human-readable message).  The connection
@@ -118,17 +105,17 @@ enum class Opcode : std::uint32_t {
   Prune = 6,
   LockAcquire = 7,
   LockRelease = 8,
-  EnqueueWork = 9,
-  ClaimWork = 10,
-  Heartbeat = 11,
-  CompleteWork = 12,
-  AbandonWork = 13,
+  // 9-13 retired (see the file comment); never reuse them.
   Stats = 14,
   ScanPrefix = 15,
   Ok = 100,
   NotFound = 101,
   Error = 102,
 };
+
+/// Zeroed u64 slots in a Stats reply where the retired work-queue
+/// counters used to be (kept so older clients parse the reply).
+inline constexpr int kStatsRetiredSlots = 8;
 
 /// Stable identifier for logs and tests.
 const char *opcodeName(Opcode Op);

@@ -63,24 +63,27 @@ std::vector<std::pair<net::Opcode, std::string>> frameCorpus() {
   putU64(Unlock, 0x1234u);
   add(net::Opcode::LockRelease, Unlock);
 
+  // The retired work-queue opcodes 9-13 (enqueue, claim, heartbeat,
+  // complete, abandon) with the payloads they used to carry: a current
+  // server must answer each with a typed Error.
   std::string Enqueue = Name;
   putStr(Enqueue, "opaque work spec");
-  add(net::Opcode::EnqueueWork, Enqueue);
+  add(net::Opcode{9}, Enqueue);
   std::string Claim;
   putU64(Claim, 0xBEEFu);
   putU64(Claim, 30000);
   putU32(Claim, 4);
-  add(net::Opcode::ClaimWork, Claim);
+  add(net::Opcode{10}, Claim);
   std::string Heartbeat;
   putU64(Heartbeat, 0xBEEFu);
   putU64(Heartbeat, 30000);
   putU32(Heartbeat, 1);
   putStr(Heartbeat, "fgbs-meas-0123456789abcdef.v1");
-  add(net::Opcode::Heartbeat, Heartbeat);
+  add(net::Opcode{11}, Heartbeat);
   std::string Complete = Name;
   putU64(Complete, 0xBEEFu);
-  add(net::Opcode::CompleteWork, Complete);
-  add(net::Opcode::AbandonWork, Complete);
+  add(net::Opcode{12}, Complete);
+  add(net::Opcode{13}, Complete);
   add(net::Opcode::Stats, "");
   std::string ScanPrefix;
   putStr(ScanPrefix, "model/suite/");
@@ -111,6 +114,10 @@ net::WireError decodeBytes(const std::string &Bytes, net::Frame &Out) {
   ::close(Fds[1]); // EOF after the corrupted bytes: truncation, not hang
   net::Socket Reader(Fds[0]);
   return net::readFrame(Reader, Out, 2000);
+}
+
+bool isRetired(net::Opcode Op) {
+  return Op >= net::Opcode{9} && Op <= net::Opcode{13};
 }
 
 /// Does \p Offset land in the frame's opcode field?  That is the one
@@ -355,6 +362,20 @@ TEST_F(FuzzServer, AnswersGarbagePayloadsWithTypedErrors) {
                 Reply.Op == net::Opcode::NotFound ||
                 Reply.Op == net::Opcode::Error)
         << net::opcodeName(Op);
+    if (isRetired(Op)) {
+      EXPECT_EQ(Reply.Op, net::Opcode::Error)
+          << "retired opcode " << static_cast<unsigned>(Op);
+      // The same retired frame, well-formed this time: still a typed
+      // Error, and the connection keeps serving.
+      ASSERT_TRUE(net::writeFrame(S, Op, Payload, 2000));
+      ASSERT_EQ(net::readFrame(S, Reply, 2000), net::WireError::None);
+      EXPECT_EQ(Reply.Op, net::Opcode::Error)
+          << "retired opcode " << static_cast<unsigned>(Op);
+    }
   }
+  ASSERT_TRUE(net::writeFrame(S, net::Opcode::Ping, "", 2000));
+  net::Frame Pong;
+  ASSERT_EQ(net::readFrame(S, Pong, 2000), net::WireError::None);
+  EXPECT_EQ(Pong.Op, net::Opcode::Ok);
   expectAlive();
 }

@@ -2,10 +2,10 @@
 //
 // The remote measurement-cache tier end to end: shard addressing, the
 // fgbs_cached server's opcode surface over a real loopback socket,
-// fleet-wide writer leases, tiered read-through/write-back semantics,
-// typed degradation when the server dies, and the headline guarantee —
-// a second host with a cold local directory trains with zero simulation
-// and byte-identical results.
+// fleet-wide writer leases and their jittered retry schedule, tiered
+// read-through/write-back semantics, typed degradation when the server
+// dies, and the headline guarantee — a second host with a cold local
+// directory trains with zero simulation and byte-identical results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/service/Snapshot.h"
 #include "fgbs/suites/Synthetic.h"
+#include "fgbs/support/BinaryIo.h"
 
 #include <gtest/gtest.h>
 
@@ -227,6 +228,105 @@ TEST(CacheServer, StopReturnsPromptlyAfterAcceptRace) {
               std::chrono::seconds(5))
         << "round " << Round;
   }
+}
+
+TEST(CacheServer, StatsReportsShardFootprintAndCounters) {
+  TempDir Dir("stats");
+  net::CacheServer Server(loopbackConfig(Dir, 3));
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Backend(clientConfig(Server));
+
+  ASSERT_TRUE(Backend.put("fgbs-meas-0000000000000001.v1", "0123456789"));
+  ASSERT_TRUE(Backend.put("fgbs-meas-0000000100000000.v1", "01234"));
+  // Hit/miss accounting is Get-only (Exists probes are free).
+  std::string Bytes;
+  EXPECT_TRUE(Backend.get("fgbs-meas-0000000000000001.v1", Bytes));  // hit
+  EXPECT_FALSE(Backend.get("fgbs-meas-00000000000000ff.v1", Bytes)); // miss
+  EXPECT_TRUE(Backend.exists("fgbs-meas-0000000000000001.v1"));
+  EXPECT_FALSE(Backend.exists("fgbs-meas-00000000000000ff.v1"));
+  bool Granted = false;
+  ASSERT_TRUE(Backend.lockAcquire("fgbs-meas-0000000000000002.v1", 7, Granted));
+  EXPECT_TRUE(Granted);
+  ASSERT_TRUE(Backend.lockAcquire("fgbs-meas-0000000000000002.v1", 8, Granted));
+  EXPECT_FALSE(Granted);
+
+  RemoteCacheStats Stats;
+  ASSERT_TRUE(Backend.statsRemote(Stats));
+  ASSERT_EQ(Stats.Shards.size(), 3u);
+  std::uint64_t Entries = 0, Footprint = 0;
+  for (const RemoteShardStats &Shard : Stats.Shards) {
+    Entries += Shard.Entries;
+    Footprint += Shard.Bytes;
+  }
+  EXPECT_EQ(Entries, 2u);
+  EXPECT_EQ(Footprint, 15u);
+  EXPECT_EQ(Stats.Hits, 1u);
+  EXPECT_EQ(Stats.Misses, 1u);
+  EXPECT_EQ(Stats.LeasesGranted, 1u);
+  EXPECT_EQ(Stats.LeasesDenied, 1u);
+
+  // The reply keeps the v1 byte layout, with the eight retired
+  // work-queue counters as zeros, so a client that still parses them
+  // reads the model extension at the same offset.
+  net::Socket Raw =
+      net::Socket::connectTo("127.0.0.1", Server.port(), 2000, &Error);
+  ASSERT_TRUE(Raw.valid()) << Error;
+  ASSERT_TRUE(net::writeFrame(Raw, net::Opcode::Stats, "", 2000));
+  net::Frame Reply;
+  ASSERT_EQ(net::readFrame(Raw, Reply, 2000), net::WireError::None);
+  ASSERT_EQ(Reply.Op, net::Opcode::Ok);
+  const std::size_t Shards = 3;
+  EXPECT_EQ(Reply.Payload.size(),
+            4 + Shards * 16 + 4 * 8 + 8 * 8 + 4 + Shards * 16 + 4 * 8);
+  binio::ByteReader In(Reply.Payload);
+  In.u32();
+  for (std::size_t I = 0; I < Shards * 2 + 4; ++I)
+    In.u64();
+  for (int I = 0; I < 8; ++I)
+    EXPECT_EQ(In.u64(), 0u) << "retired slot " << I;
+  EXPECT_EQ(In.u32(), Shards) << "model shard count follows the zeros";
+  Server.stop();
+}
+
+//===----------------------------------------------------------------------===//
+// Jittered retry backoff
+//===----------------------------------------------------------------------===//
+
+TEST(RetryBackoff, StaysInsideTheEqualJitterWindow) {
+  const std::uint64_t Initial = 50, Max = 1000;
+  for (std::uint64_t Seed : {1ull, 0xDEADBEEFull, 0x5EED5EED5EED5EEDull}) {
+    for (unsigned Attempt = 0; Attempt < 16; ++Attempt) {
+      std::uint64_t Base = Max;
+      if (Attempt < 63 && (Max >> Attempt) >= Initial)
+        Base = Initial << Attempt;
+      const std::uint64_t V = retryBackoffMs(Attempt, Initial, Max, Seed);
+      EXPECT_GE(V, Base - Base / 2) << "attempt " << Attempt;
+      EXPECT_LE(V, Base) << "attempt " << Attempt;
+    }
+  }
+}
+
+TEST(RetryBackoff, DeterministicPerSeedDecorrelatedAcrossSeeds) {
+  for (unsigned Attempt = 0; Attempt < 8; ++Attempt)
+    EXPECT_EQ(retryBackoffMs(Attempt, 50, 1000, 42),
+              retryBackoffMs(Attempt, 50, 1000, 42));
+  // Two clients with different seeds must not share a schedule (the
+  // whole point of the jitter): some attempt must differ.
+  bool Differs = false;
+  for (unsigned Attempt = 0; Attempt < 8 && !Differs; ++Attempt)
+    Differs = retryBackoffMs(Attempt, 50, 1000, 1) !=
+              retryBackoffMs(Attempt, 50, 1000, 2);
+  EXPECT_TRUE(Differs);
+}
+
+TEST(RetryBackoff, NeverZeroAndSaturatesSanely) {
+  EXPECT_GE(retryBackoffMs(0, 0, 0, 7), 1u);
+  EXPECT_GE(retryBackoffMs(200, 50, 1000, 7), 500u); // huge attempt: capped
+  EXPECT_LE(retryBackoffMs(200, 50, 1000, 7), 1000u);
+  // Max below Initial: the cap lifts to Initial instead of underflowing.
+  EXPECT_LE(retryBackoffMs(3, 100, 10, 7), 100u);
+  EXPECT_GE(retryBackoffMs(3, 100, 10, 7), 50u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -627,12 +727,6 @@ TEST(StatsJson, SchemaCoversBothNamespaces) {
   ASSERT_NE(Leases, nullptr);
   EXPECT_NE(Leases->find("granted"), nullptr);
   EXPECT_NE(Leases->find("denied"), nullptr);
-
-  const obs::JsonValue *Farm = Doc->find("farm");
-  ASSERT_NE(Farm, nullptr);
-  for (const char *Key : {"pending", "claimed", "enqueued", "claims",
-                          "completed", "requeued", "heartbeats", "dropped"})
-    EXPECT_NE(Farm->find(Key), nullptr) << "farm." << Key;
 
   const obs::JsonValue *Model = Doc->find("model");
   ASSERT_NE(Model, nullptr);

@@ -132,9 +132,15 @@ codelet "p" {
 }
 
 struct ErrorCase {
+  const char *Name;
   const char *Text;
   const char *ExpectSubstring;
 };
+
+// CTest names each case after its printed parameter. Without this printer
+// gtest prints the raw bytes of the string pointers, which move with every
+// build and every run, and so do the case names.
+void PrintTo(const ErrorCase &Case, std::ostream *OS) { *OS << Case.Name; }
 
 class TextFormatErrors : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -148,26 +154,39 @@ TEST_P(TextFormatErrors, Diagnoses) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, TextFormatErrors,
     ::testing::Values(
-        ErrorCase{"codelet \"x\" { loops 1; }", "no statements"},
-        ErrorCase{"codelet \"x\" { array a dp 0; }", "must have elements"},
-        ErrorCase{"codelet \"x\" { array a dp 8; array a dp 8; }",
+        ErrorCase{"NoStatements", "codelet \"x\" { loops 1; }",
+                  "no statements"},
+        ErrorCase{"NoElements", "codelet \"x\" { array a dp 0; }",
+                  "must have elements"},
+        ErrorCase{"Redeclared",
+                  "codelet \"x\" { array a dp 8; array a dp 8; }",
                   "redeclared"},
-        ErrorCase{"codelet \"x\" { array a dp 8; store b[1] = 1 dp; }",
+        ErrorCase{"UnknownArray",
+                  "codelet \"x\" { array a dp 8; store b[1] = 1 dp; }",
                   "unknown array"},
-        ErrorCase{"codelet \"x\" { array a dp 8; store a[7] = 1 dp; }",
+        ErrorCase{"BareStride",
+                  "codelet \"x\" { array a dp 8; store a[7] = 1 dp; }",
                   "bare strides"},
-        ErrorCase{"codelet \"x\" { array a dp 8; loops 0; }", "positive"},
-        ErrorCase{"codelet \"x\" { array a qq 8; }", "unknown precision"},
-        ErrorCase{"codelet \"x\" { trait wobbly; }", "unknown trait"},
-        ErrorCase{"codelet \"x\" { bogus 3; }", "unknown codelet item"},
-        ErrorCase{"codelet \"x\" { array a dp 8; reduce max a[1]; }",
+        ErrorCase{"NonPositiveLoops",
+                  "codelet \"x\" { array a dp 8; loops 0; }", "positive"},
+        ErrorCase{"UnknownPrecision", "codelet \"x\" { array a qq 8; }",
+                  "unknown precision"},
+        ErrorCase{"UnknownTrait", "codelet \"x\" { trait wobbly; }",
+                  "unknown trait"},
+        ErrorCase{"UnknownItem", "codelet \"x\" { bogus 3; }",
+                  "unknown codelet item"},
+        ErrorCase{"ReduceOperator",
+                  "codelet \"x\" { array a dp 8; reduce max a[1]; }",
                   "'add' or 'mul'"},
-        ErrorCase{"codelet \"x", "unterminated string"},
-        ErrorCase{"codelet \"x\" { array a dp 8; store a[1] = 1 dp; } junk",
+        ErrorCase{"UnterminatedString", "codelet \"x", "unterminated string"},
+        ErrorCase{"TrailingInput",
+                  "codelet \"x\" { array a dp 8; store a[1] = 1 dp; } junk",
                   "trailing input"},
-        ErrorCase{"codelet \"x\" { array a dp 8; store a[1] = ; }",
+        ErrorCase{"MissingExpression",
+                  "codelet \"x\" { array a dp 8; store a[1] = ; }",
                   "expected an expression"},
-        ErrorCase{"codelet \"x\" { array a dp 8; store a[1] = 1 dp }",
+        ErrorCase{"MissingSemicolon",
+                  "codelet \"x\" { array a dp 8; store a[1] = 1 dp }",
                   "expected ';'"}));
 
 TEST(TextFormat, RoundTripCodelet) {

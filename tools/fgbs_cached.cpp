@@ -11,7 +11,7 @@
 //   fgbs_cached --root DIR [--port N] [--shards N] [--threads N]
 //               [--bind ADDR] [--max-bytes N] [--max-age SECONDS]
 //               [--model-max-bytes N] [--model-max-age SECONDS]
-//               [--port-file PATH] [--workers N] [--prune-interval SEC]
+//               [--port-file PATH] [--prune-interval SEC]
 //   fgbs_cached --ping HOST:PORT
 //   fgbs_cached --stats HOST:PORT [--json]
 //
@@ -21,7 +21,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "fgbs/core/FarmWorker.h"
 #include "fgbs/core/RemoteCacheBackend.h"
 #include "fgbs/net/CacheServer.h"
 #include "fgbs/obs/RunReport.h"
@@ -34,7 +33,6 @@
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 using namespace fgbs;
 
@@ -51,7 +49,7 @@ int usage(std::ostream &OS, int Exit) {
         "                   [--threads N] [--bind ADDR] [--max-bytes N]\n"
         "                   [--max-age SEC] [--model-max-bytes N]\n"
         "                   [--model-max-age SEC] [--port-file PATH]\n"
-        "                   [--workers N] [--prune-interval SEC]\n"
+        "                   [--prune-interval SEC]\n"
         "       fgbs_cached --ping HOST:PORT\n"
         "       fgbs_cached --stats HOST:PORT [--json]\n"
         "\n"
@@ -83,9 +81,6 @@ int usage(std::ostream &OS, int Exit) {
         "  --port-file PATH\n"
         "                 write the bound port as a line of text (for\n"
         "                 scripts using --port 0)\n"
-        "  --workers N    also run N embedded simulation-farm worker\n"
-        "                 threads against this server (a one-process farm\n"
-        "                 for small fleets and tests; default 0)\n"
         "  --prune-interval SEC\n"
         "                 self-prune every shard to the --max-bytes/\n"
         "                 --max-age budgets every SEC seconds, in addition\n"
@@ -94,7 +89,7 @@ int usage(std::ostream &OS, int Exit) {
         "                 check a running daemon and exit (0 = healthy)\n"
         "  --stats HOST:PORT\n"
         "                 print a running daemon's shard footprints and\n"
-        "                 request/queue counters and exit\n"
+        "                 request counters and exit\n"
         "  --json         with --stats: emit one fgbs.cachestats.v1 JSON\n"
         "                 document instead of the human-readable text\n"
         "  --help         print this help and exit\n"
@@ -119,7 +114,6 @@ int main(int argc, char **argv) {
   std::string PingSpec;
   std::string StatsSpec;
   bool StatsJson = false;
-  unsigned Workers = 0;
   std::uint64_t PruneIntervalSeconds = 0;
 
   for (int I = 1; I < argc; ++I) {
@@ -175,12 +169,6 @@ int main(int argc, char **argv) {
       }
     } else if (Arg == "--port-file" && I + 1 < argc) {
       PortFile = argv[++I];
-    } else if (Arg == "--workers" && I + 1 < argc) {
-      if (!parseU64(argv[++I], U) || U > 256) {
-        std::cerr << "fgbs_cached: --workers needs 0..256\n";
-        return usage(std::cerr, 2);
-      }
-      Workers = static_cast<unsigned>(U);
     } else if (Arg == "--prune-interval" && I + 1 < argc) {
       if (!parseU64(argv[++I], PruneIntervalSeconds)) {
         std::cerr << "fgbs_cached: --prune-interval needs a second count\n";
@@ -242,14 +230,7 @@ int main(int argc, char **argv) {
               << "requests: " << Stats.Hits << " hits, " << Stats.Misses
               << " misses\n"
               << "leases: " << Stats.LeasesGranted << " granted, "
-              << Stats.LeasesDenied << " denied\n"
-              << "queue: " << Stats.QueuePending << " pending, "
-              << Stats.QueueClaimed << " claimed\n"
-              << "farm: " << Stats.FarmEnqueued << " enqueued, "
-              << Stats.FarmClaimed << " claimed, " << Stats.FarmCompleted
-              << " completed, " << Stats.FarmRequeued << " requeued, "
-              << Stats.FarmHeartbeats << " heartbeats, " << Stats.FarmDropped
-              << " dropped\n";
+              << Stats.LeasesDenied << " denied\n";
     if (Stats.HasModelStats) {
       std::uint64_t ModelEntries = 0, ModelBytes = 0;
       for (const RemoteShardStats &S : Stats.ModelShards) {
@@ -298,18 +279,6 @@ int main(int argc, char **argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  // Embedded farm workers: a one-process farm.  Each thread is the
-  // same loop fgbs_worker runs, pointed over loopback at this server.
-  std::vector<std::thread> WorkerThreads;
-  for (unsigned I = 0; I < Workers; ++I)
-    WorkerThreads.emplace_back([&Server] {
-      WorkerConfig Worker;
-      Worker.Remote.Host = "127.0.0.1";
-      Worker.Remote.Port = Server.port();
-      Worker.Stop = &ShutdownRequested;
-      runWorkerLoop(Worker);
-    });
-
   const auto PruneEvery = std::chrono::seconds(PruneIntervalSeconds);
   auto NextPrune = std::chrono::steady_clock::now() + PruneEvery;
   while (!ShutdownRequested.load()) {
@@ -321,8 +290,6 @@ int main(int argc, char **argv) {
   }
 
   std::cout << "fgbs_cached: shutting down" << std::endl;
-  for (std::thread &T : WorkerThreads)
-    T.join();
   Server.stop();
   return 0;
 }

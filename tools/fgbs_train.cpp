@@ -48,7 +48,6 @@ int usage(std::ostream &OS, int Exit) {
   OS << "usage: fgbs_train --suite nr|nas|synthetic --out PATH [--k N]\n"
         "                  [--threads N] [--cache DIR | --no-cache]\n"
         "                  [--cache-remote HOST:PORT]\n"
-        "                  [--distribute] [--distribute-wait MS]\n"
         "                  [--cache-max-bytes N] [--cache-max-age SEC]\n"
         "                  [--publish fgbs://HOST:PORT/NAME[@TAG]]\n"
         "                  [--model-cache DIR]\n"
@@ -92,14 +91,6 @@ int usage(std::ostream &OS, int Exit) {
         "                 replicate asynchronously.  An unreachable server\n"
         "                 degrades to the local tier with a warning; it\n"
         "                 never fails the run\n"
-        "  --distribute   on a cache miss, farm the simulation out to\n"
-        "                 fgbs_worker processes through the --cache-remote\n"
-        "                 coordinator instead of simulating locally; items\n"
-        "                 no worker delivers by the deadline are simulated\n"
-        "                 here, so the run always completes\n"
-        "  --distribute-wait MS\n"
-        "                 farm assembly deadline in milliseconds (default:\n"
-        "                 FGBS_FARM_WAIT_MS, else 600000)\n"
         "  --cache-max-bytes N\n"
         "                 cache entry-byte budget, LRU-pruned after each\n"
         "                 store (default: FGBS_MEAS_CACHE_MAX_BYTES, else\n"
@@ -181,15 +172,6 @@ int main(int argc, char **argv) {
       }
     } else if (Arg == "--no-cache") {
       Build.UseCache = false;
-    } else if (Arg == "--distribute") {
-      Build.Distribute = true;
-    } else if (Arg == "--distribute-wait" && I + 1 < argc) {
-      if (!parseU64(argv[++I], Build.DistributeWaitMs) ||
-          Build.DistributeWaitMs == 0) {
-        std::cerr << "fgbs_train: --distribute-wait needs a millisecond "
-                     "count\n";
-        return usage(std::cerr, 2);
-      }
     } else if (Arg == "--cache-max-bytes" && I + 1 < argc) {
       if (!parseU64(argv[++I], Build.CacheMaxBytes)) {
         std::cerr << "fgbs_train: --cache-max-bytes needs a byte count\n";
@@ -250,10 +232,6 @@ int main(int argc, char **argv) {
     std::cerr << "fgbs_train: --out or --publish is required\n";
     return usage(std::cerr, 2);
   }
-  if (Build.Distribute && Build.CacheRemote.empty() &&
-      !std::getenv("FGBS_MEAS_CACHE_REMOTE"))
-    std::cerr << "fgbs_train: warning: --distribute without --cache-remote "
-                 "(or FGBS_MEAS_CACHE_REMOTE); simulating locally\n";
 
   Suite S;
   if (SuiteName == "nr") {
