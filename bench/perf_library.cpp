@@ -4,14 +4,16 @@
 // trace-driven cache hierarchy, cold memory-behaviour samples on the
 // fast simulator and its reference oracle, the executor, Ward
 // clustering, the elbow search, representative selection, the
-// prediction model, feature computation, and GA generations.  These
-// guard the costs that make the cluster-count sweeps (Figure 3/7) and
+// prediction model, feature computation, GA generations, and whole
+// pipeline runs over the NR database beside the reference pipeline.
+// These guard the costs that make the cluster-count sweeps (Figure 3/7) and
 // the GA (Table 2) tractable.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fgbs/cluster/Hierarchical.h"
 #include "fgbs/core/Pipeline.h"
+#include "fgbs/core/ReferencePipeline.h"
 #include "fgbs/dsl/Builder.h"
 #include "fgbs/dsl/Text.h"
 #include "fgbs/ga/GeneticAlgorithm.h"
@@ -255,6 +257,56 @@ void BM_PipelineRerun(benchmark::State &State) {
     benchmark::DoNotOptimize(P.run());
 }
 BENCHMARK(BM_PipelineRerun);
+
+/// The NR database and a fixed, seeded set of feature masks: the work of
+/// the Table 2 GA's fitness, one pipeline run per mask.
+struct NrMaskSet {
+  Suite S = makeNumericalRecipes();
+  MeasurementDatabase Db{S, makeNehalem(), paperTargets()};
+  std::vector<PipelineConfig> Configs;
+
+  NrMaskSet() {
+    Rng R(0x7AB1E2);
+    while (Configs.size() < 64) {
+      FeatureMask Mask(NumFeatures);
+      for (std::size_t F = 0; F < NumFeatures; ++F)
+        Mask[F] = R.bernoulli(0.5);
+      if (maskCount(Mask) == 0)
+        continue;
+      Configs.emplace_back();
+      Configs.back().Features = std::move(Mask);
+    }
+  }
+};
+
+const NrMaskSet &nrMaskSet() {
+  static const NrMaskSet Set;
+  return Set;
+}
+
+// Steps C-E over the NR database for 64 seeded masks per iteration
+// (items = pipeline runs): the layer number behind the select_ga_nr
+// workload of perfbench/.
+void BM_PipelineRunNR(benchmark::State &State) {
+  const NrMaskSet &Set = nrMaskSet();
+  for (auto _ : State)
+    for (const PipelineConfig &Cfg : Set.Configs)
+      benchmark::DoNotOptimize(Pipeline(Set.Db, Cfg).run());
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<std::int64_t>(Set.Configs.size()));
+}
+BENCHMARK(BM_PipelineRunNR);
+
+// The same masks through the retained reference pipeline.
+void BM_PipelineRunNRReference(benchmark::State &State) {
+  const NrMaskSet &Set = nrMaskSet();
+  for (auto _ : State)
+    for (const PipelineConfig &Cfg : Set.Configs)
+      benchmark::DoNotOptimize(referencePipelineRun(Set.Db, Cfg));
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<std::int64_t>(Set.Configs.size()));
+}
+BENCHMARK(BM_PipelineRunNRReference);
 
 void BM_SuiteTextRoundTrip(benchmark::State &State) {
   Suite S = makeSyntheticSuite({});

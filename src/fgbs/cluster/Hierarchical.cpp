@@ -67,15 +67,6 @@ Clustering Dendrogram::cut(unsigned K) const {
 
 namespace {
 
-/// Index of the (I, J) entry (I != J) in a condensed upper-triangular
-/// distance matrix over N points.
-inline std::size_t condensedIndex(std::size_t N, std::size_t I,
-                                  std::size_t J) {
-  if (I > J)
-    std::swap(I, J);
-  return I * (2 * N - I - 1) / 2 + (J - I - 1);
-}
-
 /// Lance-Williams dissimilarity between the merger of clusters I and J
 /// (sizes NI, NJ, mutual dissimilarity DIJ) and cluster K (size NK).
 inline double lanceWilliams(Linkage Method, double DIK, double DJK,
@@ -149,20 +140,66 @@ std::vector<MergeStep> canonicalize(std::size_t N, std::vector<RawMerge> Raw,
   return Merges;
 }
 
-/// Pairwise dissimilarities in condensed form: squared Euclidean for Ward
-/// (the Lance-Williams recurrence is exact on squared distances),
-/// Euclidean otherwise.
-std::vector<double> condensedDistances(const FeatureTable &Points,
-                                       bool Squared) {
+/// Pairwise dissimilarities as a symmetric, row-major N x N matrix:
+/// squared Euclidean for Ward (the Lance-Williams recurrence is exact on
+/// squared distances), Euclidean otherwise.  Each pair is summed over
+/// its columns in ascending order, exactly as squaredDistance() sums it.
+/// The diagonal holds +infinity, so a nearest-neighbor scan needs no
+/// self test.
+std::vector<double> squareDistances(const FeatureTable &Points,
+                                    bool Squared) {
   std::size_t N = Points.size();
-  std::vector<double> Dist(N * (N - 1) / 2);
-  std::size_t Next = 0;
-  for (std::size_t I = 0; I < N; ++I)
+  std::size_t Dim = Points.front().size();
+  std::vector<double> Dist(N * N, std::numeric_limits<double>::infinity());
+  for (std::size_t I = 0; I < N; ++I) {
+    const double *A = Points[I].data();
     for (std::size_t J = I + 1; J < N; ++J) {
-      double D2 = squaredDistance(Points[I], Points[J]);
-      Dist[Next++] = Squared ? D2 : std::sqrt(D2);
+      assert(Points[J].size() == Dim && "dimension mismatch");
+      const double *B = Points[J].data();
+      double D2 = 0.0;
+      for (std::size_t D = 0; D < Dim; ++D) {
+        double Diff = A[D] - B[D];
+        D2 += Diff * Diff;
+      }
+      Dist[I * N + J] = Dist[J * N + I] = Squared ? D2 : std::sqrt(D2);
     }
+  }
   return Dist;
+}
+
+/// Index of the first minimum of Row[0, N): the entry a sequential scan
+/// keeping a strictly smaller value would end on, or SIZE_MAX when no
+/// entry is below +infinity.  Four interleaved running minimums break
+/// the dependency of each comparison on the one before; merging them by
+/// (value, index) gives the sequential scan's answer.
+std::size_t firstMinimum(const double *Row, std::size_t N) {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  double B0 = Inf, B1 = Inf, B2 = Inf, B3 = Inf;
+  std::size_t I0 = SIZE_MAX, I1 = SIZE_MAX, I2 = SIZE_MAX, I3 = SIZE_MAX;
+  auto Keep = [](double D, std::size_t K, double &B, std::size_t &I) {
+    bool Smaller = D < B;
+    B = Smaller ? D : B;
+    I = Smaller ? K : I;
+  };
+  std::size_t K = 0;
+  for (; K + 4 <= N; K += 4) {
+    Keep(Row[K], K, B0, I0);
+    Keep(Row[K + 1], K + 1, B1, I1);
+    Keep(Row[K + 2], K + 2, B2, I2);
+    Keep(Row[K + 3], K + 3, B3, I3);
+  }
+  for (; K < N; ++K) // Later than every index lane 0 holds.
+    Keep(Row[K], K, B0, I0);
+  auto Merge = [](double B, std::size_t I, double &Into, std::size_t &At) {
+    if (B < Into || (B == Into && I < At)) {
+      Into = B;
+      At = I;
+    }
+  };
+  Merge(B1, I1, B0, I0);
+  Merge(B3, I3, B2, I2);
+  Merge(B2, I2, B0, I0);
+  return I0;
 }
 
 } // namespace
@@ -176,9 +213,15 @@ Dendrogram fgbs::hierarchicalCluster(const FeatureTable &Points,
 
   FGBS_TRACE_SPAN("cluster.nn_chain");
   bool Squared = Method == Linkage::Ward;
-  std::vector<double> Dist = condensedDistances(Points, Squared);
+  // A square matrix costs twice the memory of the condensed triangle but
+  // makes every probe a plain row read (Dist[Top * N + K]) and every
+  // Lance-Williams update two stores.  Entries that must never win a
+  // scan (the diagonal and every merged-away cluster's column) hold
+  // +infinity, so the scan is a branch-free minimum over one row; the
+  // chain predecessor then wins unless that minimum is strictly smaller.
+  std::vector<double> Dist = squareDistances(Points, Squared);
 
-  std::vector<bool> Active(N, true);
+  std::vector<char> Active(N, 1);
   std::vector<double> Size(N, 1.0);
 
   // Telemetry tallies, maintained per outer iteration so the scan and
@@ -213,20 +256,17 @@ Dendrogram fgbs::hierarchicalCluster(const FeatureTable &Points,
 
     // Nearest active neighbor of Top; prefer the chain predecessor on
     // ties (guarantees termination), then the lowest slot.
+    const double *TopRow = Dist.data() + Top * N;
     std::size_t Nearest = SIZE_MAX;
     double Best = std::numeric_limits<double>::infinity();
     if (Chain.size() >= 2) {
       Nearest = Chain[Chain.size() - 2];
-      Best = Dist[condensedIndex(N, Top, Nearest)];
+      Best = TopRow[Nearest];
     }
-    for (std::size_t K = 0; K < N; ++K) {
-      if (!Active[K] || K == Top)
-        continue;
-      double D = Dist[condensedIndex(N, Top, K)];
-      if (D < Best) {
-        Best = D;
-        Nearest = K;
-      }
+    std::size_t Closest = firstMinimum(TopRow, N);
+    if (Closest != SIZE_MAX && TopRow[Closest] < Best) {
+      Best = TopRow[Closest];
+      Nearest = Closest;
     }
 
     if (Chain.size() >= 2 && Nearest == Chain[Chain.size() - 2]) {
@@ -237,17 +277,19 @@ Dendrogram fgbs::hierarchicalCluster(const FeatureTable &Points,
       std::size_t Hi = std::max(Top, Nearest);
       double NI = Size[Lo];
       double NJ = Size[Hi];
+      double *LoRow = Dist.data() + Lo * N;
+      const double *HiRow = Dist.data() + Hi * N;
       for (std::size_t K = 0; K < N; ++K) {
         if (!Active[K] || K == Lo || K == Hi)
           continue;
-        Dist[condensedIndex(N, Lo, K)] =
-            lanceWilliams(Method, Dist[condensedIndex(N, Lo, K)],
-                          Dist[condensedIndex(N, Hi, K)], Best, NI, NJ,
-                          Size[K]);
+        LoRow[K] = Dist[K * N + Lo] = lanceWilliams(
+            Method, LoRow[K], HiRow[K], Best, NI, NJ, Size[K]);
       }
       Raw.push_back({Lo, Hi, Best});
       Size[Lo] += Size[Hi];
-      Active[Hi] = false;
+      Active[Hi] = 0;
+      for (std::size_t K = 0; K < N; ++K)
+        Dist[K * N + Hi] = std::numeric_limits<double>::infinity();
       DistanceEvals += ActiveCount - 2;
       --ActiveCount;
     } else {
@@ -345,12 +387,13 @@ unsigned fgbs::elbowK(const FeatureTable &Points, const Dendrogram &Tree,
   // clusters A and B moves the WSS up by the Huygens centroid-merge
   // delta |A||B|/(|A|+|B|) * ||centroid(A) - centroid(B)||^2, so the
   // whole K sweep costs O(N * Dim) instead of O(N^2 * Dim * MaxK).
+  // Per-node feature sums live in one flat (2N - 1) x Dim buffer.
   const std::vector<MergeStep> &Merges = Tree.merges();
   std::size_t Dim = Points.front().size();
-  std::vector<std::vector<double>> SumOf(N + Merges.size());
+  std::vector<double> SumOf((N + Merges.size()) * Dim);
   std::vector<double> CountOf(N + Merges.size(), 0.0);
   for (std::size_t I = 0; I < N; ++I) {
-    SumOf[I] = Points[I];
+    std::copy(Points[I].begin(), Points[I].end(), SumOf.begin() + I * Dim);
     CountOf[I] = 1.0;
   }
 
@@ -359,8 +402,9 @@ unsigned fgbs::elbowK(const FeatureTable &Points, const Dendrogram &Tree,
   double Wss = 0.0;
   for (std::size_t Step = 0; Step < Merges.size(); ++Step) {
     const MergeStep &M = Merges[Step];
-    std::vector<double> &Left = SumOf[static_cast<std::size_t>(M.Left)];
-    std::vector<double> &Right = SumOf[static_cast<std::size_t>(M.Right)];
+    const double *Left = SumOf.data() + static_cast<std::size_t>(M.Left) * Dim;
+    const double *Right =
+        SumOf.data() + static_cast<std::size_t>(M.Right) * Dim;
     double NL = CountOf[static_cast<std::size_t>(M.Left)];
     double NR = CountOf[static_cast<std::size_t>(M.Right)];
     double Gap = 0.0;
@@ -371,11 +415,9 @@ unsigned fgbs::elbowK(const FeatureTable &Points, const Dendrogram &Tree,
     Wss += NL * NR / (NL + NR) * Gap;
 
     std::size_t Node = N + Step;
-    SumOf[Node] = std::move(Left);
+    double *Sum = SumOf.data() + Node * Dim;
     for (std::size_t D = 0; D < Dim; ++D)
-      SumOf[Node][D] += Right[D];
-    Right.clear();
-    Right.shrink_to_fit();
+      Sum[D] = Left[D] + Right[D];
     CountOf[Node] = NL + NR;
 
     std::size_t K = N - Step - 1; // Clusters remaining after this merge.

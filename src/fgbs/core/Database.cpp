@@ -3,10 +3,13 @@
 #include "fgbs/core/Database.h"
 
 #include "fgbs/compiler/CompileCache.h"
+#include "fgbs/model/Prediction.h"
 #include "fgbs/obs/Trace.h"
 #include "fgbs/support/ThreadPool.h"
 
 #include <cassert>
+#include <map>
+#include <string>
 #include <utility>
 
 using namespace fgbs;
@@ -122,6 +125,7 @@ MeasurementDatabase::MeasurementDatabase(const Suite &S, Machine Ref,
 
   FGBS_COUNTER_ADD("db.codelets_profiled", N);
   assert(Codelets.size() == Profiles.size() && "profile count mismatch");
+  derivePipelineInputs();
 }
 
 MeasurementDatabase::MeasurementDatabase(
@@ -140,6 +144,90 @@ MeasurementDatabase::MeasurementDatabase(
   assert(RealTarget.size() == Targets.size() && "target grid mismatch");
   assert(StandaloneOnTarget.size() == Targets.size() &&
          "target grid mismatch");
+  derivePipelineInputs();
+}
+
+void MeasurementDatabase::derivePipelineInputs() {
+  PipelineInputs &In = Inputs;
+  In.Kept = keptCodelets();
+  const std::size_t N = In.Kept.size();
+
+  FeatureTable Full;
+  Full.reserve(N);
+  for (std::size_t Index : In.Kept) {
+    assert(Profiles[Index].Features.size() == NumFeatures &&
+           "profile features must cover the catalog");
+    Full.push_back(Profiles[Index].Features);
+    In.RefSeconds.push_back(Profiles[Index].InApp.MeasuredSeconds);
+    // isWellBehaved() divides by the in-app time; a zero time fails the
+    // test, as the division by zero would.
+    In.WellBehaved.push_back(In.RefSeconds.back() > 0.0 &&
+                             isWellBehavedOnRef(Index));
+    In.Invocations.push_back(
+        static_cast<double>(codelet(Index).totalInvocations()));
+  }
+  if (N > 0) {
+    In.Norm = computeNormalization(Full);
+    FeatureTable Normalized = normalizeFeatures(Full);
+    In.RawFeatures.reserve(N * NumFeatures);
+    In.NormalizedFeatures.reserve(N * NumFeatures);
+    for (std::size_t I = 0; I < N; ++I) {
+      In.RawFeatures.insert(In.RawFeatures.end(), Full[I].begin(),
+                            Full[I].end());
+      In.NormalizedFeatures.insert(In.NormalizedFeatures.end(),
+                                   Normalized[I].begin(),
+                                   Normalized[I].end());
+    }
+  }
+
+  // Applications group their kept codelets by the codelet's App name, in
+  // suite application order.
+  std::map<std::string, std::vector<std::size_t>> ByApp;
+  for (std::size_t I = 0; I < N; ++I)
+    ByApp[codelet(In.Kept[I]).App].push_back(I);
+  const std::vector<Application> &Apps = TheSuite->Applications;
+  for (std::size_t A = 0; A < Apps.size(); ++A) {
+    auto It = ByApp.find(Apps[A].Name);
+    if (It == ByApp.end())
+      continue;
+    PipelineInputs::App Group;
+    Group.Index = A;
+    Group.Members = It->second;
+    Group.Coverage = Apps[A].Coverage;
+    std::vector<double> RefT;
+    for (std::size_t Local : Group.Members) {
+      RefT.push_back(In.RefSeconds[Local]);
+      Group.Invocations.push_back(In.Invocations[Local]);
+    }
+    Group.ReferenceSeconds =
+        applicationTime(RefT, Group.Invocations, Group.Coverage);
+    In.Apps.push_back(std::move(Group));
+  }
+
+  for (std::size_t T = 0; T < Targets.size(); ++T) {
+    PipelineInputs::Target Tgt;
+    for (std::size_t I = 0; I < N; ++I) {
+      const StandaloneMeasurement &SA = standaloneTarget(In.Kept[I], T);
+      Tgt.RealSeconds.push_back(realTargetSeconds(In.Kept[I], T));
+      Tgt.StandaloneMedianSeconds.push_back(SA.MedianSeconds);
+      Tgt.StandaloneTotalSeconds.push_back(SA.TotalBenchmarkSeconds);
+      Tgt.FullSuiteSeconds += Tgt.RealSeconds[I] * In.Invocations[I];
+      Tgt.ReducedInvocationSeconds += SA.TotalBenchmarkSeconds;
+    }
+    std::vector<double> AppReference;
+    for (const PipelineInputs::App &Group : In.Apps) {
+      std::vector<double> RealT;
+      for (std::size_t Local : Group.Members)
+        RealT.push_back(Tgt.RealSeconds[Local]);
+      Tgt.AppRealSeconds.push_back(
+          applicationTime(RealT, Group.Invocations, Group.Coverage));
+      AppReference.push_back(Group.ReferenceSeconds);
+    }
+    if (!In.Apps.empty())
+      Tgt.RealGeomeanSpeedup =
+          geometricMeanSpeedup(AppReference, Tgt.AppRealSeconds);
+    In.Targets.push_back(std::move(Tgt));
+  }
 }
 
 std::vector<std::size_t> MeasurementDatabase::keptCodelets() const {

@@ -85,6 +85,60 @@ struct DatabaseOptions {
   unsigned Threads = 0;
 };
 
+/// What steps C-E read from a database, derived once when the database
+/// is built so a pipeline run copies instead of recomputing.  Every
+/// per-codelet vector is indexed by kept position: entry I describes
+/// codelet Kept[I].  Features are kept at full catalog width; a run
+/// copies the columns its mask selects.  Normalizing the full-width
+/// table gives the same bits as normalizing a masked copy, because each
+/// column's mean and standard deviation are computed on their own, over
+/// the kept rows in order (DESIGN.md section 6).
+struct PipelineInputs {
+  /// Indices of codelets surviving the 1M-cycle profiling filter.
+  std::vector<std::size_t> Kept;
+  /// Kept rows x NumFeatures, row-major: the raw step-B features and
+  /// their z-scores (normalizeFeatures over the full-width table).
+  std::vector<double> RawFeatures;
+  std::vector<double> NormalizedFeatures;
+  /// Per-column statistics of RawFeatures (NumFeatures entries each;
+  /// empty when no codelet is kept).
+  NormalizationStats Norm;
+  /// Reference in-application seconds per invocation.
+  std::vector<double> RefSeconds;
+  /// The section 3.4 agreement test on the reference machine.
+  std::vector<char> WellBehaved;
+  /// Codelet::totalInvocations(), as a double.
+  std::vector<double> Invocations;
+
+  /// An application with at least one kept codelet.
+  struct App {
+    std::size_t Index = 0;             ///< Into Suite::Applications.
+    std::vector<std::size_t> Members;  ///< Kept positions, in order.
+    std::vector<double> Invocations;   ///< Invocations of each member.
+    double Coverage = 1.0;
+    /// applicationTime() of the members' reference times.
+    double ReferenceSeconds = 0.0;
+  };
+  /// In suite application order.
+  std::vector<App> Apps;
+
+  /// One target machine's measurements of the kept codelets, and the
+  /// evaluation figures that do not depend on the clustering.
+  struct Target {
+    std::vector<double> RealSeconds;
+    std::vector<double> StandaloneMedianSeconds;
+    std::vector<double> StandaloneTotalSeconds;
+    /// Table 5 numerators: every kept codelet at its full and at its
+    /// reduced invocation count.
+    double FullSuiteSeconds = 0.0;
+    double ReducedInvocationSeconds = 0.0;
+    /// applicationTime() of the real times, one per entry of Apps.
+    std::vector<double> AppRealSeconds;
+    double RealGeomeanSpeedup = 0.0;
+  };
+  std::vector<Target> Targets;
+};
+
 /// Eagerly computed measurement store for one suite.
 class MeasurementDatabase {
 public:
@@ -153,6 +207,9 @@ public:
   /// Indices of codelets surviving the 1M-cycle profiling filter.
   std::vector<std::size_t> keptCodelets() const;
 
+  /// The inputs of steps C-E, derived once at construction.
+  const PipelineInputs &pipelineInputs() const { return Inputs; }
+
   /// True when \p Codelet passes the section 3.4 agreement test on the
   /// reference machine.
   bool isWellBehavedOnRef(std::size_t Codelet) const;
@@ -167,6 +224,10 @@ private:
   std::vector<StandaloneMeasurement> StandaloneOnRef;
   /// [target][codelet]
   std::vector<std::vector<StandaloneMeasurement>> StandaloneOnTarget;
+  PipelineInputs Inputs;
+
+  /// Fills Inputs from the measurements; both constructors end here.
+  void derivePipelineInputs();
 };
 
 } // namespace fgbs

@@ -6,11 +6,47 @@
 #include "fgbs/support/Statistics.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <utility>
 
 using namespace fgbs;
+
+PipelineConfig::PipelineConfig() {
+  static const FeatureMask Table2 = maskForNames(kTable2FeatureNames);
+  Features = Table2;
+}
+
+namespace {
+
+/// The catalog columns \p Mask selects, in ascending order.
+struct MaskColumns {
+  std::array<std::size_t, NumFeatures> Index;
+  std::size_t Count = 0;
+
+  explicit MaskColumns(const FeatureMask &Mask) {
+    for (std::size_t F = 0; F < NumFeatures; ++F)
+      if (Mask[F])
+        Index[Count++] = F;
+  }
+};
+
+/// Row-wise copy of the selected columns of a row-major table that is
+/// NumFeatures wide.
+FeatureTable selectColumns(const std::vector<double> &Table,
+                           std::size_t Rows, const MaskColumns &Columns) {
+  FeatureTable Out(Rows);
+  for (std::size_t R = 0; R < Rows; ++R) {
+    const double *Row = Table.data() + R * NumFeatures;
+    std::vector<double> &Point = Out[R];
+    Point.resize(Columns.Count);
+    for (std::size_t C = 0; C < Columns.Count; ++C)
+      Point[C] = Row[Columns.Index[C]];
+  }
+  return Out;
+}
+
+} // namespace
 
 Pipeline::Pipeline(const MeasurementDatabase &Db, PipelineConfig Config)
     : Db(Db), Config(std::move(Config)) {
@@ -20,96 +56,83 @@ Pipeline::Pipeline(const MeasurementDatabase &Db, PipelineConfig Config)
          "at least one feature must be selected");
 }
 
-FeatureTable Pipeline::buildRawPoints() const {
-  std::vector<std::size_t> Kept = Db.keptCodelets();
-  FeatureTable Full;
-  Full.reserve(Kept.size());
-  for (std::size_t Index : Kept)
-    Full.push_back(applyMask(Db.profile(Index).Features, Config.Features));
-  return Full;
-}
-
-NormalizationStats Pipeline::normalizationFor(const FeatureTable &Raw) const {
-  if (Config.Normalize)
-    return computeNormalization(Raw);
-  // Identity stats: (x - 0) / 1 leaves raw features untouched, so result
-  // consumers never need to branch on the Normalize knob.
-  std::size_t Dim = Raw.empty() ? maskCount(Config.Features) : Raw[0].size();
-  NormalizationStats Identity;
-  Identity.Mean.assign(Dim, 0.0);
-  Identity.Std.assign(Dim, 1.0);
-  return Identity;
+NormalizationStats Pipeline::normalization() const {
+  MaskColumns Columns(Config.Features);
+  NormalizationStats Out;
+  const PipelineInputs &In = Db.pipelineInputs();
+  if (!Config.Normalize || In.Kept.empty()) {
+    // Identity stats: (x - 0) / 1 leaves raw features untouched, so
+    // result consumers never need to branch on the Normalize knob.
+    Out.Mean.assign(Columns.Count, 0.0);
+    Out.Std.assign(Columns.Count, 1.0);
+    return Out;
+  }
+  Out.Mean.resize(Columns.Count);
+  Out.Std.resize(Columns.Count);
+  for (std::size_t C = 0; C < Columns.Count; ++C) {
+    Out.Mean[C] = In.Norm.Mean[Columns.Index[C]];
+    Out.Std[C] = In.Norm.Std[Columns.Index[C]];
+  }
+  return Out;
 }
 
 FeatureTable Pipeline::buildPoints() const {
   FGBS_TRACE_SPAN("pipeline.cluster.features");
-  FeatureTable Full = buildRawPoints();
-  return Config.Normalize ? normalizeFeatures(Full) : Full;
+  const PipelineInputs &In = Db.pipelineInputs();
+  const std::vector<double> &Table =
+      Config.Normalize ? In.NormalizedFeatures : In.RawFeatures;
+  return selectColumns(Table, In.Kept.size(), MaskColumns(Config.Features));
 }
 
 PipelineResult Pipeline::run() const {
   FGBS_TRACE_SPAN("pipeline.run");
   FGBS_COUNTER_ADD("pipeline.runs", 1);
-  std::vector<std::size_t> Kept = Db.keptCodelets();
-  FeatureTable Raw = [&] {
-    FGBS_TRACE_SPAN("pipeline.cluster.features");
-    return buildRawPoints();
-  }();
-  NormalizationStats Norm = normalizationFor(Raw);
-  FeatureTable Points = Config.Normalize ? normalizeFeatures(Raw) : Raw;
+  FeatureTable Points = buildPoints();
 
   // Step C: hierarchical clustering and the elbow cut.
   Dendrogram Tree = [&] {
     FGBS_TRACE_SPAN("pipeline.cluster");
     return hierarchicalCluster(Points, Config.LinkageMethod);
   }();
-  unsigned Elbow =
-      elbowK(Points, Tree, Config.MaxK, Config.ElbowThreshold);
+  unsigned Elbow = elbowK(Points, Tree, Config.MaxK, Config.ElbowThreshold);
   unsigned K = Config.K > 0 ? Config.K : Elbow;
   K = std::min<unsigned>(K, static_cast<unsigned>(Points.size()));
 
-  return evaluate(std::move(Kept), std::move(Points), std::move(Norm),
-                  Tree.cut(K), Elbow);
+  return evaluate(std::move(Points), Tree.cut(K), Elbow);
 }
 
 PipelineResult Pipeline::runWithClustering(const Clustering &Initial) const {
-  std::vector<std::size_t> Kept = Db.keptCodelets();
-  FeatureTable Raw = buildRawPoints();
-  NormalizationStats Norm = normalizationFor(Raw);
-  FeatureTable Points = Config.Normalize ? normalizeFeatures(Raw) : Raw;
-  assert(Initial.Assignment.size() == Kept.size() &&
+  assert(Initial.Assignment.size() == Db.pipelineInputs().Kept.size() &&
          "clustering must cover the kept codelets");
-  return evaluate(std::move(Kept), std::move(Points), std::move(Norm), Initial,
-                  /*ElbowChoice=*/0);
+  return evaluate(buildPoints(), Initial, /*ElbowChoice=*/0);
 }
 
-PipelineResult Pipeline::evaluate(std::vector<std::size_t> Kept,
-                                  FeatureTable Points, NormalizationStats Norm,
-                                  Clustering Initial,
+PipelineResult Pipeline::evaluate(FeatureTable Points, Clustering Initial,
                                   unsigned ElbowChoice) const {
+  const PipelineInputs &In = Db.pipelineInputs();
   PipelineResult R;
-  R.Kept = std::move(Kept);
+  R.Kept = In.Kept;
   R.Points = std::move(Points);
   R.Mask = Config.Features;
-  R.Norm = std::move(Norm);
+  R.Norm = normalization();
   R.ElbowK = ElbowChoice;
   R.InitialK = Initial.K;
-  R.Initial = Initial;
+  R.Initial = std::move(Initial);
 
   // --- Step D: representative selection --------------------------------
   {
     FGBS_TRACE_SPAN("pipeline.select");
-    auto WellBehaved = [this, &R](std::size_t Local) {
-      return Db.isWellBehavedOnRef(R.Kept[Local]);
-    };
     if (Config.ReSelectIllBehaved) {
-      R.Selection = selectRepresentatives(R.Points, Initial, WellBehaved,
+      auto WellBehaved = [&In](std::size_t Local) {
+        return In.WellBehaved[Local] != 0;
+      };
+      R.Selection = selectRepresentatives(R.Points, R.Initial, WellBehaved,
                                           Config.MedoidRepresentative);
     } else {
       // Plain medoid (or first-member) choice with no agreement test.
-      R.Selection.Assignment = Initial.Assignment;
-      R.Selection.FinalK = Initial.K;
-      for (const std::vector<std::size_t> &Members : Initial.members()) {
+      R.Selection.Assignment = R.Initial.Assignment;
+      R.Selection.FinalK = R.Initial.K;
+      for (const std::vector<std::size_t> &Members : R.Initial.members()) {
         assert(!Members.empty() && "empty cluster in initial clustering");
         std::size_t Pick =
             Config.MedoidRepresentative ? medoidOf(R.Points, Members) : 0;
@@ -125,71 +148,51 @@ PipelineResult Pipeline::evaluate(std::vector<std::size_t> Kept,
 
   // --- Step E: prediction model -----------------------------------------
   FGBS_TRACE_SPAN("pipeline.predict");
-  std::vector<double> RefTimes(R.Kept.size());
-  for (std::size_t I = 0; I < R.Kept.size(); ++I)
-    RefTimes[I] = Db.profile(R.Kept[I]).InApp.MeasuredSeconds;
-  R.Model = PredictionModel::build(RefTimes, R.Selection.Assignment,
-                                   R.Selection.Representatives);
+  const std::vector<std::size_t> &Reps = R.Selection.Representatives;
+  R.Model = PredictionModel::build(In.RefSeconds, R.Selection.Assignment,
+                                   Reps);
 
   // --- Evaluation against every target ----------------------------------
+  // Only the predicted side depends on the clustering; the real times and
+  // their aggregates come precomputed with the database.
   const Suite &S = Db.suite();
-  for (std::size_t T = 0; T < Db.targets().size(); ++T) {
+  std::vector<double> RepTimes(Reps.size());
+  std::vector<double> AppPredicted;
+  for (std::size_t T = 0; T < In.Targets.size(); ++T) {
+    const PipelineInputs::Target &Tgt = In.Targets[T];
     TargetEvaluation Eval;
     Eval.MachineName = Db.targets()[T].Name;
 
     // Representatives measured standalone on the target.
-    std::vector<double> RepTimes;
-    RepTimes.reserve(R.Selection.Representatives.size());
-    for (std::size_t Local : R.Selection.Representatives)
-      RepTimes.push_back(Db.standaloneTarget(R.Kept[Local], T).MedianSeconds);
-
+    for (std::size_t C = 0; C < Reps.size(); ++C)
+      RepTimes[C] = Tgt.StandaloneMedianSeconds[Reps[C]];
     Eval.Predicted = R.Model.predict(RepTimes);
-    Eval.Real.resize(R.Kept.size());
-    for (std::size_t I = 0; I < R.Kept.size(); ++I)
-      Eval.Real[I] = Db.realTargetSeconds(R.Kept[I], T);
+    Eval.Real = Tgt.RealSeconds;
     Eval.ErrorsPercent = predictionErrorsPercent(Eval.Predicted, Eval.Real);
     Eval.MedianErrorPercent = median(Eval.ErrorsPercent);
     Eval.AverageErrorPercent = mean(Eval.ErrorsPercent);
 
     // Benchmarking-reduction breakdown (Table 5).
-    for (std::size_t I = 0; I < R.Kept.size(); ++I) {
-      double Invocations =
-          static_cast<double>(Db.codelet(R.Kept[I]).totalInvocations());
-      Eval.Reduction.FullSuiteSeconds += Eval.Real[I] * Invocations;
-      Eval.Reduction.ReducedInvocationSeconds +=
-          Db.standaloneTarget(R.Kept[I], T).TotalBenchmarkSeconds;
-    }
-    for (std::size_t Local : R.Selection.Representatives)
-      Eval.Reduction.RepresentativeSeconds +=
-          Db.standaloneTarget(R.Kept[Local], T).TotalBenchmarkSeconds;
+    Eval.Reduction.FullSuiteSeconds = Tgt.FullSuiteSeconds;
+    Eval.Reduction.ReducedInvocationSeconds = Tgt.ReducedInvocationSeconds;
+    for (std::size_t Local : Reps)
+      Eval.Reduction.RepresentativeSeconds += Tgt.StandaloneTotalSeconds[Local];
 
-    // Application-level aggregation.
-    std::map<std::string, std::vector<std::size_t>> ByApp;
-    for (std::size_t I = 0; I < R.Kept.size(); ++I)
-      ByApp[Db.codelet(R.Kept[I]).App].push_back(I);
-    // Preserve suite application order.
-    for (const Application &App : S.Applications) {
-      auto It = ByApp.find(App.Name);
-      if (It == ByApp.end())
-        continue;
-      std::vector<double> RefT;
-      std::vector<double> RealT;
-      std::vector<double> PredT;
-      std::vector<double> Inv;
-      for (std::size_t Local : It->second) {
-        RefT.push_back(Db.profile(R.Kept[Local]).InApp.MeasuredSeconds);
-        RealT.push_back(Eval.Real[Local]);
-        PredT.push_back(Eval.Predicted[Local]);
-        Inv.push_back(
-            static_cast<double>(Db.codelet(R.Kept[Local]).totalInvocations()));
-      }
-      Eval.AppNames.push_back(App.Name);
-      Eval.AppReference.push_back(applicationTime(RefT, Inv, App.Coverage));
-      Eval.AppReal.push_back(applicationTime(RealT, Inv, App.Coverage));
-      Eval.AppPredicted.push_back(applicationTime(PredT, Inv, App.Coverage));
+    // Application-level aggregation, in suite application order.
+    Eval.AppNames.reserve(In.Apps.size());
+    Eval.AppReference.reserve(In.Apps.size());
+    Eval.AppPredicted.reserve(In.Apps.size());
+    for (const PipelineInputs::App &App : In.Apps) {
+      AppPredicted.clear();
+      for (std::size_t Local : App.Members)
+        AppPredicted.push_back(Eval.Predicted[Local]);
+      Eval.AppNames.push_back(S.Applications[App.Index].Name);
+      Eval.AppReference.push_back(App.ReferenceSeconds);
+      Eval.AppPredicted.push_back(
+          applicationTime(AppPredicted, App.Invocations, App.Coverage));
     }
-    Eval.RealGeomeanSpeedup =
-        geometricMeanSpeedup(Eval.AppReference, Eval.AppReal);
+    Eval.AppReal = Tgt.AppRealSeconds;
+    Eval.RealGeomeanSpeedup = Tgt.RealGeomeanSpeedup;
     Eval.PredictedGeomeanSpeedup =
         geometricMeanSpeedup(Eval.AppReference, Eval.AppPredicted);
 

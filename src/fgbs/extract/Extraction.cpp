@@ -78,33 +78,67 @@ SelectionResult fgbs::selectRepresentatives(
   SelectionResult Result;
   Result.Assignment = Initial.Assignment;
 
-  std::vector<std::vector<std::size_t>> Members = Initial.members();
-  std::vector<bool> IllBehavedFlag(Points.size(), false);
+  // Members of each cluster, in point order: cluster Cl owns
+  // Member[Start[Cl] .. Start[Cl + 1]).
+  const std::size_t K = Initial.K;
+  std::vector<std::size_t> Start(K + 1, 0);
+  for (int Cl : Initial.Assignment) {
+    assert(Cl >= 0 && static_cast<unsigned>(Cl) < K &&
+           "assignment out of range");
+    ++Start[static_cast<std::size_t>(Cl) + 1];
+  }
+  for (std::size_t Cl = 0; Cl < K; ++Cl)
+    Start[Cl + 1] += Start[Cl];
+  std::vector<std::size_t> Member(Initial.Assignment.size());
+  {
+    std::vector<std::size_t> Next(Start.begin(), Start.end() - 1);
+    for (std::size_t P = 0; P < Initial.Assignment.size(); ++P)
+      Member[Next[static_cast<std::size_t>(Initial.Assignment[P])]++] = P;
+  }
+  std::vector<char> IllBehavedFlag(Points.size(), 0);
 
   // Phase 1: per cluster, walk candidates by distance to centroid and
   // keep the first well-behaved one.
-  std::vector<long> ClusterRep(Members.size(), -1); // -1 = destroyed.
-  for (std::size_t Cl = 0; Cl < Members.size(); ++Cl) {
-    const std::vector<std::size_t> &M = Members[Cl];
-    if (M.empty())
+  std::vector<long> ClusterRep(K, -1); // -1 = destroyed.
+  const std::size_t Dim = Points.empty() ? 0 : Points.front().size();
+  std::vector<double> Centroid(Dim);
+  std::vector<double> ToCentroid;
+  std::vector<std::size_t> Order;
+  for (std::size_t Cl = 0; Cl < K; ++Cl) {
+    const std::size_t *M = Member.data() + Start[Cl];
+    const std::size_t Size = Start[Cl + 1] - Start[Cl];
+    if (Size == 0)
       continue;
-    std::vector<double> Centroid = centroidOf(Points, M);
-    std::vector<std::size_t> Order(M.size());
-    for (std::size_t I = 0; I < M.size(); ++I)
+    Order.resize(Size);
+    for (std::size_t I = 0; I < Size; ++I)
       Order[I] = I;
-    if (PreferMedoid)
-      std::stable_sort(Order.begin(), Order.end(),
-                       [&](std::size_t A, std::size_t B) {
-                         return squaredDistance(Points[M[A]], Centroid) <
-                                squaredDistance(Points[M[B]], Centroid);
-                       });
+    if (PreferMedoid && Size > 1) {
+      // The centroid as centroidOf() computes it, one distance per member,
+      // then a stable insertion sort on the stored distances.
+      std::fill(Centroid.begin(), Centroid.end(), 0.0);
+      for (std::size_t I = 0; I < Size; ++I)
+        for (std::size_t D = 0; D < Dim; ++D)
+          Centroid[D] += Points[M[I]][D];
+      for (double &V : Centroid)
+        V /= static_cast<double>(Size);
+      ToCentroid.resize(Size);
+      for (std::size_t I = 0; I < Size; ++I)
+        ToCentroid[I] = squaredDistance(Points[M[I]], Centroid);
+      for (std::size_t I = 1; I < Size; ++I) {
+        std::size_t Moving = Order[I];
+        std::size_t J = I;
+        for (; J > 0 && ToCentroid[Moving] < ToCentroid[Order[J - 1]]; --J)
+          Order[J] = Order[J - 1];
+        Order[J] = Moving;
+      }
+    }
     for (std::size_t I : Order) {
       std::size_t Candidate = M[I];
       if (WellBehaved(Candidate)) {
         ClusterRep[Cl] = static_cast<long>(Candidate);
         break;
       }
-      IllBehavedFlag[Candidate] = true;
+      IllBehavedFlag[Candidate] = 1;
     }
   }
 
@@ -120,7 +154,7 @@ SelectionResult fgbs::selectRepresentatives(
     for (std::size_t P = 0; P < Points.size(); ++P)
       if (IllBehavedFlag[P])
         Result.IllBehaved.push_back(P);
-    FGBS_COUNTER_ADD("extract.dissolved_clusters", Members.size());
+    FGBS_COUNTER_ADD("extract.dissolved_clusters", K);
     FGBS_COUNTER_ADD("extract.ill_behaved_replacements",
                      Result.IllBehaved.size());
     return Result;
@@ -128,12 +162,13 @@ SelectionResult fgbs::selectRepresentatives(
 
   // Phase 2: members of destroyed clusters move to the cluster of their
   // closest neighbor in any surviving cluster.
-  for (std::size_t Cl = 0; Cl < Members.size(); ++Cl) {
-    if (ClusterRep[Cl] >= 0 || Members[Cl].empty())
+  for (std::size_t Cl = 0; Cl < K; ++Cl) {
+    if (ClusterRep[Cl] >= 0 || Start[Cl] == Start[Cl + 1])
       continue;
     FGBS_COUNTER_ADD("extract.dissolved_clusters", 1);
-    FGBS_COUNTER_ADD("extract.orphans_moved", Members[Cl].size());
-    for (std::size_t Orphan : Members[Cl]) {
+    FGBS_COUNTER_ADD("extract.orphans_moved", Start[Cl + 1] - Start[Cl]);
+    for (std::size_t I = Start[Cl]; I < Start[Cl + 1]; ++I) {
+      std::size_t Orphan = Member[I];
       double BestDist = std::numeric_limits<double>::infinity();
       long BestCluster = -1;
       for (std::size_t Other = 0; Other < Points.size(); ++Other) {
@@ -152,7 +187,7 @@ SelectionResult fgbs::selectRepresentatives(
   }
 
   // Relabel surviving clusters to [0, FinalK) in first-appearance order.
-  std::vector<int> Relabel(Members.size(), -1);
+  std::vector<int> Relabel(K, -1);
   for (std::size_t P = 0; P < Result.Assignment.size(); ++P) {
     auto Old = static_cast<std::size_t>(Result.Assignment[P]);
     if (Relabel[Old] < 0) {

@@ -10,37 +10,101 @@
 #include <cassert>
 #include <memory>
 #include <numeric>
-#include <unordered_map>
+#include <utility>
 
 using namespace fgbs;
 
-std::uint64_t fgbs::hashChromosome(const Chromosome &C) {
-  std::uint64_t Hash = hashU64(C.size());
+namespace {
+
+/// Packs \p C into 64-bit words, bit I of the chromosome in bit I % 64 of
+/// word I / 64 (\p Out holds (C.size() + 63) / 64 words).
+void packChromosome(const Chromosome &C, std::uint64_t *Out) {
   std::uint64_t Word = 0;
   unsigned Bits = 0;
   for (std::size_t I = 0; I < C.size(); ++I) {
     Word |= static_cast<std::uint64_t>(C[I]) << Bits;
     if (++Bits == 64) {
-      Hash = hashCombine(Hash, Word);
+      *Out++ = Word;
       Word = 0;
       Bits = 0;
     }
   }
   if (Bits > 0)
-    Hash = hashCombine(Hash, Word);
+    *Out = Word;
+}
+
+/// hashChromosome() of a chromosome of \p Length bits packed into
+/// \p Words by packChromosome().
+std::uint64_t hashPacked(std::size_t Length, const std::uint64_t *Words,
+                         std::size_t NumWords) {
+  std::uint64_t Hash = hashU64(Length);
+  for (std::size_t W = 0; W < NumWords; ++W)
+    Hash = hashCombine(Hash, Words[W]);
   return Hash;
 }
 
-namespace {
+/// The fitness memo: an open-addressing hash set of packed chromosomes.
+/// Entries are numbered in insertion order; each keeps its packed words
+/// and its fitness.  A lookup hashes and compares whole words, and an
+/// insertion allocates nothing once the arrays have grown.
+class FitnessMemo {
+public:
+  explicit FitnessMemo(std::size_t Length)
+      : Length(Length), NumWords((Length + 63) / 64), Slots(1024, Empty) {}
 
-/// Hash adaptor over chromosome bits, for fitness memoization.
-struct ChromosomeHash {
-  std::size_t operator()(const Chromosome &C) const {
-    return static_cast<std::size_t>(hashChromosome(C));
+  std::size_t size() const { return Values.size(); }
+  double &value(std::size_t Entry) { return Values[Entry]; }
+
+  /// The entry holding \p Key, inserting it (with fitness 0) when absent.
+  /// \returns the entry and whether it was inserted.
+  std::pair<std::size_t, bool> findOrInsert(const std::uint64_t *Key) {
+    if (2 * (Values.size() + 1) > Slots.size())
+      grow();
+    std::size_t Mask = Slots.size() - 1;
+    for (std::size_t Slot = hashPacked(Length, Key, NumWords) & Mask;;
+         Slot = (Slot + 1) & Mask) {
+      std::uint32_t Entry = Slots[Slot];
+      if (Entry == Empty) {
+        Slots[Slot] = static_cast<std::uint32_t>(Values.size());
+        Keys.insert(Keys.end(), Key, Key + NumWords);
+        Values.push_back(0.0);
+        return {Values.size() - 1, true};
+      }
+      if (std::equal(Key, Key + NumWords, Keys.data() + Entry * NumWords))
+        return {Entry, false};
+    }
   }
+
+private:
+  static constexpr std::uint32_t Empty = UINT32_MAX;
+
+  void grow() {
+    std::vector<std::uint32_t> Bigger(2 * Slots.size(), Empty);
+    std::size_t Mask = Bigger.size() - 1;
+    for (std::size_t Entry = 0; Entry < Values.size(); ++Entry) {
+      std::size_t Slot =
+          hashPacked(Length, Keys.data() + Entry * NumWords, NumWords) & Mask;
+      while (Bigger[Slot] != Empty)
+        Slot = (Slot + 1) & Mask;
+      Bigger[Slot] = static_cast<std::uint32_t>(Entry);
+    }
+    Slots = std::move(Bigger);
+  }
+
+  std::size_t Length;
+  std::size_t NumWords;
+  std::vector<std::uint32_t> Slots; ///< Entry per slot, or Empty.
+  std::vector<std::uint64_t> Keys;  ///< NumWords per entry.
+  std::vector<double> Values;       ///< Fitness per entry.
 };
 
 } // namespace
+
+std::uint64_t fgbs::hashChromosome(const Chromosome &C) {
+  std::vector<std::uint64_t> Words((C.size() + 63) / 64);
+  packChromosome(C, Words.data());
+  return hashPacked(C.size(), Words.data(), Words.size());
+}
 
 GaResult fgbs::runGa(const GaConfig &Config, const FitnessFn &Fitness) {
   FGBS_TRACE_SPAN("ga.run");
@@ -57,7 +121,9 @@ GaResult fgbs::runGa(const GaConfig &Config, const FitnessFn &Fitness) {
   if (Threads > 1)
     Pool = std::make_unique<ThreadPool>(Threads);
 
-  std::unordered_map<Chromosome, double, ChromosomeHash> Cache;
+  FitnessMemo Cache(Config.ChromosomeLength);
+  const std::size_t NumWords = (Config.ChromosomeLength + 63) / 64;
+  std::vector<std::uint64_t> Packed(NumWords);
 
   // Random initial population.
   std::vector<Chromosome> Population(Config.PopulationSize);
@@ -89,23 +155,24 @@ GaResult fgbs::runGa(const GaConfig &Config, const FitnessFn &Fitness) {
     }
 
     // Serial pass: satisfy cache hits, dedupe the misses in first-
-    // occurrence order (matching the historical serial call order).
+    // occurrence order (matching the historical serial call order).  A
+    // miss enters the memo at once; the entries this generation adds are
+    // exactly its pending evaluations, in order.
+    const std::size_t FirstNew = Cache.size();
     std::vector<const Chromosome *> Pending;
     std::vector<std::size_t> SlotOf(Population.size(), SIZE_MAX);
-    std::unordered_map<Chromosome, std::size_t, ChromosomeHash> PendingSlots;
     std::size_t CacheHits = 0;
     for (std::size_t I = 0; I < Population.size(); ++I) {
-      auto Hit = Cache.find(Population[I]);
-      if (Hit != Cache.end()) {
-        Scores[I] = Hit->second;
+      packChromosome(Population[I], Packed.data());
+      auto [Entry, IsNew] = Cache.findOrInsert(Packed.data());
+      if (Entry < FirstNew) {
+        Scores[I] = Cache.value(Entry);
         ++CacheHits;
         continue;
       }
-      auto [Slot, IsNew] = PendingSlots.try_emplace(Population[I],
-                                                    Pending.size());
       if (IsNew)
         Pending.push_back(&Population[I]);
-      SlotOf[I] = Slot->second;
+      SlotOf[I] = Entry - FirstNew;
     }
     // Memo hit rate = cache_hits / (cache_hits + cache_misses); the
     // deduped re-occurrences within one generation count as hits too.
@@ -126,17 +193,23 @@ GaResult fgbs::runGa(const GaConfig &Config, const FitnessFn &Fitness) {
         EvalPending(P);
     Result.Evaluations += Pending.size();
 
-    // Merge into the memo cache after the parallel region.
+    // Fill the new memo entries after the parallel region.
     for (std::size_t P = 0; P < Pending.size(); ++P)
-      Cache.emplace(*Pending[P], PendingScore[P]);
+      Cache.value(FirstNew + P) = PendingScore[P];
     for (std::size_t I = 0; I < Population.size(); ++I)
       if (SlotOf[I] != SIZE_MAX)
         Scores[I] = PendingScore[SlotOf[I]];
   };
 
-  std::size_t Elite = std::max<std::size_t>(
-      1, static_cast<std::size_t>(Config.EliteFraction *
-                                  static_cast<double>(Config.PopulationSize)));
+  // Elites survive unchanged: at least one, at most the whole population
+  // (a fraction outside [0, 1] is clamped, never converted out of range).
+  double EliteShare =
+      Config.EliteFraction * static_cast<double>(Config.PopulationSize);
+  std::size_t Elite = 1;
+  if (EliteShare >= static_cast<double>(Config.PopulationSize))
+    Elite = Config.PopulationSize;
+  else if (EliteShare >= 1.0)
+    Elite = static_cast<std::size_t>(EliteShare);
 
   double BestEver = 0.0;
   bool HaveBest = false;

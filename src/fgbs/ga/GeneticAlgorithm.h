@@ -34,8 +34,9 @@ using FitnessFn = std::function<double(const Chromosome &)>;
 
 /// Well-mixed 64-bit hash of a chromosome (bits packed into 64-bit words,
 /// each word mixed through SplitMix64).  Adjacent-bit swaps, which the
-/// old additive mixing collided on, land in different buckets.  Exposed
-/// for the fitness memo cache and its collision tests.
+/// old additive mixing collided on, land in different buckets.  The
+/// fitness memo hashes its packed keys the same way; exposed for the
+/// collision tests.
 std::uint64_t hashChromosome(const Chromosome &C);
 
 /// GA configuration.  Defaults follow the paper: population 1000, 100
@@ -46,6 +47,7 @@ struct GaConfig {
   unsigned Generations = 100;
   double MutationProbability = 0.01;
   /// Fraction of the population surviving unchanged (genalg elitism).
+  /// At least one individual survives and at most the whole population.
   double EliteFraction = 0.20;
   /// Tournament size for parent selection.
   unsigned TournamentSize = 3;

@@ -661,6 +661,9 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   case Opcode::Error:
     break;
   }
-  return respondError(Conn, std::string("unsupported opcode ") +
-                                opcodeName(Request.Op));
+  // Retired and unknown opcodes have no name; the number tells an
+  // operator which one an old client sent.
+  return respondError(Conn,
+                      "unsupported opcode " +
+                          std::to_string(static_cast<unsigned>(Request.Op)));
 }

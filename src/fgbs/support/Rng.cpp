@@ -33,31 +33,10 @@ std::uint64_t fgbs::hashString(const char *Str) {
   return hashU64(Hash);
 }
 
-static std::uint64_t rotl(std::uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
 Rng::Rng(std::uint64_t Seed) {
   std::uint64_t Sm = Seed;
   for (std::uint64_t &Word : State)
     Word = splitMix64(Sm);
-}
-
-std::uint64_t Rng::nextU64() {
-  std::uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  std::uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
-}
-
-double Rng::uniform() {
-  // 53 high bits give a uniform double in [0, 1).
-  return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniformIn(double Lo, double Hi) {
@@ -74,14 +53,6 @@ std::uint64_t Rng::below(std::uint64_t Bound) {
     if (Value >= Threshold)
       return Value % Bound;
   }
-}
-
-bool Rng::bernoulli(double P) {
-  if (P <= 0.0)
-    return false;
-  if (P >= 1.0)
-    return true;
-  return uniform() < P;
 }
 
 double Rng::normal() {

@@ -46,11 +46,25 @@ class Rng {
 public:
   explicit Rng(std::uint64_t Seed);
 
-  /// Returns the next raw 64-bit output.
-  std::uint64_t nextU64();
+  /// Returns the next raw 64-bit output.  Inline, with uniform() and
+  /// bernoulli(): the GA draws two of these per gene it breeds.
+  std::uint64_t nextU64() {
+    std::uint64_t Result = rotl(State[1] * 5, 7) * 9;
+    std::uint64_t T = State[1] << 17;
+    State[2] ^= State[0];
+    State[3] ^= State[1];
+    State[1] ^= State[2];
+    State[0] ^= State[3];
+    State[2] ^= T;
+    State[3] = rotl(State[3], 45);
+    return Result;
+  }
 
   /// Returns a double uniformly distributed in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits give a uniform double in [0, 1).
+    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a double uniformly distributed in [\p Lo, \p Hi).
   double uniformIn(double Lo, double Hi);
@@ -60,7 +74,13 @@ public:
   std::uint64_t below(std::uint64_t Bound);
 
   /// Returns true with probability \p P (clamped to [0, 1]).
-  bool bernoulli(double P);
+  bool bernoulli(double P) {
+    if (P <= 0.0)
+      return false;
+    if (P >= 1.0)
+      return true;
+    return uniform() < P;
+  }
 
   /// Returns a sample from the standard normal distribution
   /// (Box-Muller; one value cached).
@@ -84,6 +104,10 @@ public:
                                                     std::size_t Count);
 
 private:
+  static std::uint64_t rotl(std::uint64_t X, int K) {
+    return (X << K) | (X >> (64 - K));
+  }
+
   std::uint64_t State[4];
   bool HasCachedNormal = false;
   double CachedNormal = 0.0;

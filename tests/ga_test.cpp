@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <utility>
 
 using namespace fgbs;
 
@@ -178,4 +180,49 @@ TEST(Ga, PenalizedEmptySelectionAvoided) {
   for (bool Bit : R.Best)
     Count += Bit;
   EXPECT_EQ(Count, 1.0);
+}
+
+TEST(ChromosomeHash, PackedWordsKeepTheHash) {
+  // The memo hashes chromosomes packed into 64-bit words; the values are
+  // those of the bit-at-a-time hash they replaced.
+  const std::pair<std::size_t, std::uint64_t> Pinned[] = {
+      {0, 0xe220a8397b1dcdafULL},  {1, 0x73200bd2fbf13fa7ULL},
+      {64, 0xe2f6343b081f6e35ULL}, {76, 0x0225cc78db0f3ea2ULL},
+      {130, 0xc6bef8046c0524ccULL}};
+  for (const auto &[Length, Hash] : Pinned) {
+    Chromosome C(Length);
+    for (std::size_t I = 0; I < Length; ++I)
+      C[I] = (I * 7 + 3) % 5 < 2;
+    EXPECT_EQ(hashChromosome(C), Hash) << Length << " bits";
+  }
+}
+
+TEST(Ga, MemoMatchesUncachedRunAcrossWords) {
+  // A three-word chromosome: the packed memo must return exactly the
+  // fitness an uncached run recomputes.
+  GaConfig Cfg = smallConfig();
+  Cfg.ChromosomeLength = 130;
+  Cfg.Generations = 20;
+  GaResult Cached = runGa(Cfg, oneMax);
+  Cfg.CacheFitness = false;
+  GaResult Uncached = runGa(Cfg, oneMax);
+  EXPECT_EQ(Cached.Best, Uncached.Best);
+  EXPECT_EQ(Cached.BestHistory, Uncached.BestHistory);
+  EXPECT_LT(Cached.Evaluations, Uncached.Evaluations);
+}
+
+TEST(Ga, EliteFractionIsClamped) {
+  // Above 1 the whole population survives unbred (no read past its end);
+  // below 0 a single elite does.  Both must run cleanly under ASan/UBSan.
+  GaConfig Cfg = smallConfig();
+  Cfg.EliteFraction = 1.5;
+  GaResult All = runGa(Cfg, oneMax);
+  ASSERT_EQ(All.BestHistory.size(), Cfg.Generations);
+  EXPECT_EQ(All.BestHistory.front(), All.BestHistory.back());
+  EXPECT_LE(All.Evaluations, Cfg.PopulationSize); // One generation's worth.
+
+  Cfg.EliteFraction = -0.5;
+  GaResult One = runGa(Cfg, oneMax);
+  ASSERT_EQ(One.BestHistory.size(), Cfg.Generations);
+  EXPECT_LE(One.BestHistory.back(), One.BestHistory.front());
 }

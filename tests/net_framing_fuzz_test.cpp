@@ -363,14 +363,20 @@ TEST_F(FuzzServer, AnswersGarbagePayloadsWithTypedErrors) {
                 Reply.Op == net::Opcode::Error)
         << net::opcodeName(Op);
     if (isRetired(Op)) {
+      // The error names the opcode by number: a retired opcode has no
+      // name an operator could read instead.
+      const std::string Want =
+          "unsupported opcode " + std::to_string(static_cast<unsigned>(Op));
       EXPECT_EQ(Reply.Op, net::Opcode::Error)
           << "retired opcode " << static_cast<unsigned>(Op);
+      EXPECT_EQ(ByteReader(Reply.Payload).str(), Want);
       // The same retired frame, well-formed this time: still a typed
       // Error, and the connection keeps serving.
       ASSERT_TRUE(net::writeFrame(S, Op, Payload, 2000));
       ASSERT_EQ(net::readFrame(S, Reply, 2000), net::WireError::None);
       EXPECT_EQ(Reply.Op, net::Opcode::Error)
           << "retired opcode " << static_cast<unsigned>(Op);
+      EXPECT_EQ(ByteReader(Reply.Payload).str(), Want);
     }
   }
   ASSERT_TRUE(net::writeFrame(S, net::Opcode::Ping, "", 2000));
